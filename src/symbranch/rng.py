@@ -10,9 +10,10 @@ import hashlib
 
 import numpy as np
 
-# Array simulators draw one stream per chunk of this many replicas and slice
-# per replica inside the chunk; event-driven simulators use one stream per
-# replica (chunk of 1 via stream(seed, tag, replica_index)).
+# Replica-batched simulators, the jump process included, draw one stream per
+# chunk of this many replicas and advance the whole chunk from it. The voter
+# and walker simulators still use one stream per replica
+# (stream(seed, tag, replica_index)).
 CHUNK = 4096
 
 

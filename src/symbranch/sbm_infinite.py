@@ -13,8 +13,10 @@ The state lives on boundary configurations: at every site at most one of
   jump compensator I*(V*m2 + U*b) from AU (and symmetrically from AV), where
   m2 and b are the sampler-implied swap moment and keep balance, so that the
   mean drift of each coordinate is the heat flow. Jumps are realized by
-  thinning with a 1.5x majorant inside substeps; majorant violations are
-  accepted capped, counted, and halve the next substep.
+  thinning with a 1.5x majorant inside substeps, for a whole chunk of
+  replicas at once over (R, n) arrays; every replica keeps its own clock and
+  substep cap. Majorant violations are accepted capped, counted per
+  replica, and halve that replica's next substep.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 
 from symbranch import rng as rngmod
 from symbranch.duals import duality_pairing
-from symbranch.exitlaw import (ExitLawParams, V_AXIS, sample_exit_batch,
+from symbranch.exitlaw import (ExitLawParams, sample_exit_batch,
                                sample_nu_trunc, truncate_nu)
 from symbranch.lattice import as_field, heat_semigroup
 
@@ -65,16 +67,18 @@ class JumpEvent:
 
 
 def project_to_boundary(u, v):
-    """Zero the smaller coordinate per site; returns (u, v, zeroed mass)."""
+    """Zero the smaller coordinate per site; returns (u, v, zeroed mass).
+
+    The zeroed mass is summed over the last axis: a float for one field, an
+    (R,) array of per-row masses for (R, n) fields.
+    """
     off = (u > 0) & (v > 0)
-    if not np.any(off):
-        return u, v, 0.0
-    lo = np.minimum(u, v)
-    zeroed = float(lo[off].sum())
-    keep_u = u >= v
-    u = np.where(off & ~keep_u, 0.0, u)
-    v = np.where(off & keep_u, 0.0, v)
-    return u, v, zeroed
+    zeroed = np.where(off, np.minimum(u, v), 0.0).sum(axis=-1)
+    if np.any(off):
+        keep_u = u >= v
+        u = np.where(off & ~keep_u, 0.0, u)
+        v = np.where(off & keep_u, 0.0, v)
+    return u, v, zeroed if u.ndim > 1 else float(zeroed)
 
 
 def intensity(g, state, k=None):
@@ -104,26 +108,6 @@ def _intensity_arrays(u, v, au, av):
     denom = np.where(on_u, u, np.where(on_v, v, 1.0))
     num = np.where(on_u, av, np.where(on_v, au, 0.0))
     return num / denom
-
-
-def apply_jump(state, site, swapped, factor):
-    """Replace the pair at one site by the rescaled jump mark.
-
-    The local magnitude m = U(k)+V(k) becomes m*factor, on the same axis for
-    a keep mark or on the opposite axis for a swap mark. Returns a new
-    BoundaryField.
-    """
-    u = state.u.copy()
-    v = state.v.copy()
-    m = u[site] + v[site]
-    on_u = u[site] > 0
-    u[site] = 0.0
-    v[site] = 0.0
-    if swapped == on_u:
-        v[site] = m * factor
-    else:
-        u[site] = m * factor
-    return BoundaryField(u, v)
 
 
 def trotter_step(g, params, u, v, eps, rng):
@@ -176,95 +160,133 @@ def trotter_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     }
 
 
-def _flow_substep(u, v, A, m2, bal, dt):
-    """One explicit flow step of the compensated ODE; projects back to the
-    boundary set and returns (u, v, zeroed mass)."""
+def _flow(u, v, A, m2, bal, dt):
+    """One explicit step of the compensated ODE per row, each over its own
+    dt[i]; projects back to the boundary set and returns (u, v, zeroed mass
+    per row)."""
     au = u @ A.T
     av = v @ A.T
     rate = _intensity_arrays(u, v, au, av)
     du = au - rate * (v * m2 + u * bal)
     dv = av - rate * (u * m2 + v * bal)
-    u = u + dt * du
-    v = v + dt * dv
-    np.maximum(u, 0.0, out=u)
-    np.maximum(v, 0.0, out=v)
+    dt = dt[:, None]
+    u = np.maximum(u + dt * du, 0.0)
+    v = np.maximum(v + dt * dv, 0.0)
     return project_to_boundary(u, v)
 
 
-def _pdmp_one(g, measure, u, v, horizon, rng, flow_substep=1e-2,
-              record_events=False):
-    """Single-replica jump-process trajectory via thinning."""
-    A = g.rates
+def jump_update(u, v, rows, sites, swapped, factor):
+    """Replace the pair at each (rows[i], sites[i]) by its rescaled jump mark.
+
+    The local magnitude m = U+V becomes m*factor, on the same axis for a keep
+    mark or on the opposite axis for a swap mark; an empty site stays empty.
+    Updates the (R, n) fields u, v in place and returns the magnitudes m.
+    """
+    mag = u[rows, sites] + v[rows, sites]
+    to_v = swapped == (u[rows, sites] > 0)
+    new = mag * factor
+    u[rows, sites] = np.where(to_v, 0.0, new)
+    v[rows, sites] = np.where(to_v, new, 0.0)
+    return mag
+
+
+def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
+    """Jump-process trajectories of all rows of the (R, n) start fields,
+    which are overwritten.
+
+    Every live row advances by one thinning substep per loop iteration, on
+    its own clock and its own substep cap. Candidates of all rows are
+    handled in rank rounds: round j flows each row that has a j-th candidate
+    to that candidate's time and accepts or rejects all of them at once.
+    events, if a list, receives the JumpEvents of row 0. Returns the final
+    fields and the per-row jump, swap, violation and zeroed-mass counts.
+    """
+    R, n = u.shape
     M = measure.total_mass
     m2 = measure.m2
     bal = measure.balance
-    t = 0.0
-    dt_max = flow_substep
-    dt_cap = dt_max
-    n_jumps = n_swaps = violations = 0
-    zeroed = 0.0
-    events = [] if record_events else None
-    while t < horizon - 1e-12:
+    out_u = np.empty_like(u)
+    out_v = np.empty_like(v)
+    n_jumps = np.zeros(R, dtype=int)
+    n_swaps = np.zeros(R, dtype=int)
+    violations = np.zeros(R, dtype=int)
+    zeroed = np.zeros(R)
+    # u, v, t and cap hold the live rows only; rid maps each to its chunk row
+    rid = np.arange(R)
+    t = np.zeros(R)
+    cap = np.full(R, dt_max)
+    while True:
+        done = t >= horizon - 1e-12
+        if done.any():
+            out_u[rid[done]] = u[done]
+            out_v[rid[done]] = v[done]
+            keep = ~done
+            rid, t, cap, u, v = rid[keep], t[keep], cap[keep], u[keep], v[keep]
+        if not rid.size:
+            return out_u, out_v, n_jumps, n_swaps, violations, zeroed
         au = u @ A.T
         av = v @ A.T
         rate = _intensity_arrays(u, v, au, av)
         if np.any(rate < 0):
             raise NegativeIntensity("negative jump intensity during flow")
         lam = rate * M
-        total = lam.sum()
-        dt = min(dt_cap, horizon - t, 0.1 / total if total > 0 else math.inf)
         lam_bar = 1.5 * lam
-        counts = rng.poisson(lam_bar * dt)
-        n_cand = int(counts.sum())
-        if n_cand == 0:
-            u, v, z = _flow_substep(u, v, A, m2, bal, dt)
-            zeroed += z
-            t += dt
-            continue
-        sites = np.repeat(np.arange(u.size), counts)
-        taus = rng.random(n_cand) * dt
-        order = np.argsort(taus)
-        sites = sites[order]
-        taus = taus[order]
-        s_prev = 0.0
-        violated = False
-        for tau, k in zip(taus, sites):
-            if tau > s_prev:
-                u, v, z = _flow_substep(u, v, A, m2, bal, tau - s_prev)
-                zeroed += z
-                s_prev = tau
-            mag = u[k] + v[k]
-            if mag <= 0:
-                continue
-            row = A[k]
-            cur = (row @ v) / u[k] if u[k] > 0 else (row @ u) / v[k]
-            lam_k = cur * M
-            accept = lam_k / lam_bar[k] if lam_bar[k] > 0 else (1.0 if lam_k > 0 else 0.0)
-            if accept > 1.0:
-                violations += 1
-                violated = True
-                accept = 1.0
-            if rng.random() < accept:
-                mark = sample_nu_trunc(measure, rng)
-                swapped = mark.axis == V_AXIS
-                on_u = u[k] > 0
-                if record_events:
-                    events.append(JumpEvent(t + tau, int(k), bool(swapped),
-                                            float(mark.magnitude), float(mag)))
-                u[k] = 0.0
-                v[k] = 0.0
-                if swapped == on_u:
-                    v[k] = mag * mark.magnitude
-                else:
-                    u[k] = mag * mark.magnitude
-                n_jumps += 1
-                n_swaps += int(swapped)
-        if dt > s_prev:
-            u, v, z = _flow_substep(u, v, A, m2, bal, dt - s_prev)
-            zeroed += z
+        with np.errstate(divide="ignore"):
+            dt = np.minimum(np.minimum(cap, horizon - t),
+                            0.1 / lam.sum(axis=1))
+        counts = rng.poisson(lam_bar * dt[:, None])
+        per_row = counts.sum(axis=1)
+        s_prev = np.zeros(rid.size)
+        violated = np.zeros(rid.size, dtype=bool)
+        if per_row.any():
+            cand = np.repeat(np.arange(counts.size), counts.ravel())
+            row = cand // n
+            tau = rng.random(cand.size) * dt[row]
+            order = np.lexsort((tau, row))
+            site = (cand % n)[order]
+            tau = tau[order]
+            first = np.cumsum(per_row) - per_row
+            for j in range(int(per_row.max())):
+                rows = np.flatnonzero(per_row > j)
+                c = first[rows] + j
+                k = site[c]
+                step = tau[c] - s_prev[rows]
+                go = step > 0
+                fr = rows[go]
+                u[fr], v[fr], z = _flow(u[fr], v[fr], A, m2, bal, step[go])
+                zeroed[rid[fr]] += z
+                s_prev[rows] = tau[c]
+                # current intensity at the candidate site against its majorant
+                Ak = A[k]
+                cur = _intensity_arrays(u[rows, k], v[rows, k],
+                                        np.einsum("ij,ij->i", Ak, u[rows]),
+                                        np.einsum("ij,ij->i", Ak, v[rows]))
+                accept = (cur * M) / lam_bar[rows, k]
+                over = accept > 1.0
+                violations[rid[rows[over]]] += 1
+                violated[rows[over]] = True
+                hit = rng.random(rows.size) < accept
+                if not hit.any():
+                    continue
+                jr = rows[hit]
+                jk = k[hit]
+                swapped, factor = sample_nu_trunc(measure, rng, size=jr.size)
+                mag = jump_update(u, v, jr, jk, swapped, factor)
+                n_jumps[rid[jr]] += 1
+                n_swaps[rid[jr]] += swapped
+                if events is not None and rid[0] == 0 and jr[0] == 0:
+                    events.append(JumpEvent(float(t[0] + tau[c[hit][0]]),
+                                            int(jk[0]), bool(swapped[0]),
+                                            float(factor[0]), float(mag[0])))
+        step = dt - s_prev
+        go = step > 0
+        u[go], v[go], z = _flow(u[go], v[go], A, m2, bal, step[go])
+        zeroed[rid[go]] += z
         t += dt
-        dt_cap = max(dt_cap / 2, 1e-5) if violated else min(dt_cap * 1.1, dt_max)
-    return u, v, n_jumps, n_swaps, violations, zeroed, events
+        # a substep without candidates leaves the cap as it is
+        cap = np.where(violated, np.maximum(cap / 2, 1e-5),
+                       np.where(per_row > 0, np.minimum(cap * 1.1, dt_max),
+                                cap))
 
 
 def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
@@ -273,14 +295,19 @@ def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     """Jump-process trajectories with truncation eps; returns fields and
     diagnostics (jump/swap counts, majorant violations, projected mass).
 
+    Replicas run in chunks of rngmod.CHUNK rows, one Philox stream per chunk,
+    with batched thinning over the chunk's (R, n) arrays. Each replica keeps
+    its own clock and substep cap: the cap starts at flow_substep, halves
+    after a substep with a majorant violation and regrows by 1.1x, up to
+    flow_substep, after one whose thinning candidates all stayed under it.
     A prebuilt TruncatedJumpMeasure can be passed to skip the truncation
     solve; record_events collects the JumpEvent list of replica 0 only.
     """
     if measure is None:
         measure = truncate_nu(rho, eps)
     n = g.n_sites
-    u0 = as_field(g, np.asarray(initial.u, dtype=float)).copy()
-    v0 = as_field(g, np.asarray(initial.v, dtype=float)).copy()
+    u0 = as_field(g, np.asarray(initial.u, dtype=float))
+    v0 = as_field(g, np.asarray(initial.v, dtype=float))
     BoundaryField(u0, v0)  # validate the start state
     out_u = np.empty((replicas, n))
     out_v = np.empty((replicas, n))
@@ -288,21 +315,13 @@ def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     n_swaps = np.zeros(replicas, dtype=int)
     violations = np.zeros(replicas, dtype=int)
     zeroed = np.zeros(replicas)
-    events = None
-    for r in range(replicas):
-        rng = rngmod.stream(seed, rng_tag, r)
-        u, v, nj, ns, viol, z, ev = _pdmp_one(
-            g, measure, u0.copy(), v0.copy(), horizon, rng,
-            flow_substep=flow_substep,
-            record_events=(record_events and r == 0))
-        out_u[r] = u
-        out_v[r] = v
-        n_jumps[r] = nj
-        n_swaps[r] = ns
-        violations[r] = viol
-        zeroed[r] = z
-        if ev is not None:
-            events = ev
+    events = [] if record_events else None
+    for lo, hi, rng in rngmod.chunk_streams(seed, rng_tag, replicas):
+        (out_u[lo:hi], out_v[lo:hi], n_jumps[lo:hi], n_swaps[lo:hi],
+         violations[lo:hi], zeroed[lo:hi]) = _pdmp_chunk(
+            g.rates, measure, np.tile(u0, (hi - lo, 1)),
+            np.tile(v0, (hi - lo, 1)), horizon, rng, flow_substep,
+            events=events if lo == 0 else None)
     return {
         "u": out_u,
         "v": out_v,

@@ -6,9 +6,9 @@ import pytest
 from symbranch import rng as rngmod
 from symbranch.config import build_graph
 from symbranch.exitlaw import ExitLawParams, atomic_swap_measure, truncate_nu
-from symbranch.lattice import SiteGraph, heat_semigroup
+from symbranch.lattice import SiteGraph, build_dumbbell, heat_semigroup
 from symbranch.sbm_infinite import (BoundaryField, NegativeIntensity,
-                                    apply_jump, intensity,
+                                    intensity, jump_update,
                                     martingale_functional_check,
                                     pdmp_simulate, project_to_boundary,
                                     trotter_simulate, trotter_step)
@@ -61,14 +61,18 @@ def test_intensity_vector_and_negative(ring8):
         intensity(ring8, off_e, 0)
 
 
-def test_apply_jump_examples(ring8):
-    state = _efield(8, u_at=[(2, 3.0)])
-    kept = apply_jump(state, 2, swapped=False, factor=2.0)
-    assert kept.u[2] == 6.0 and kept.v[2] == 0.0
-    swapped = apply_jump(state, 2, swapped=True, factor=0.5)
-    assert swapped.u[2] == 0.0 and swapped.v[2] == 1.5
-    null = apply_jump(_efield(8), 4, swapped=True, factor=2.0)
-    assert null.u[4] == 0.0 and null.v[4] == 0.0
+def test_jump_update_examples():
+    # rows: keep mark, swap mark, empty site; one jump per row
+    u = np.zeros((3, 8))
+    v = np.zeros((3, 8))
+    u[:2, 2] = 3.0
+    mag = jump_update(u, v, np.array([0, 1, 2]), np.array([2, 2, 4]),
+                      np.array([False, True, True]), np.array([2.0, 0.5, 2.0]))
+    assert np.array_equal(mag, [3.0, 3.0, 0.0])
+    assert u[0, 2] == 6.0 and v[0, 2] == 0.0
+    assert u[1, 2] == 0.0 and v[1, 2] == 1.5
+    assert u[2, 4] == 0.0 and v[2, 4] == 0.0
+    assert np.count_nonzero(u) == 1 and np.count_nonzero(v) == 1
 
 
 def test_project_to_boundary_logs_mass():
@@ -78,6 +82,15 @@ def test_project_to_boundary_logs_mass():
     assert np.all(pu * pv == 0.0)
     assert np.allclose(pu, [1.0, 0.0, 0.0]) and np.allclose(pv, [0.0, 0.3, 2.0])
     assert zeroed == pytest.approx(0.3)  # min coordinate zeroed per off-E site
+
+
+def test_project_to_boundary_per_row_mass():
+    u = np.array([[1.0, 0.2, 0.0], [0.0, 0.0, 0.5]])
+    v = np.array([[0.1, 0.3, 2.0], [1.0, 0.0, 0.0]])
+    pu, pv, zeroed = project_to_boundary(u.copy(), v.copy())
+    assert np.all(pu * pv == 0.0)
+    assert zeroed.shape == (2,)
+    assert zeroed == pytest.approx([0.3, 0.0])
 
 
 def test_trotter_zero_state_fixed(ring8):
@@ -173,6 +186,43 @@ def test_pdmp_rho_minus_one_exactness(ring8):
     assert np.all(res["u"] * res["v"] == 0.0)
     assert np.all(res["zeroed_mass"] == 0.0)
     assert np.all(res["n_swaps"] == res["n_jumps"])  # every mark swaps
+
+
+def test_pdmp_rho_minus_one_closed_form():
+    # two-site voter: consensus at rate 1, each way with probability 1/2
+    g = build_dumbbell(0.5)
+    init = BoundaryField(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    t, n = 0.7, 4000
+    res = pdmp_simulate(g, -1.0, init, horizon=t, eps=0.1, replicas=n,
+                        seed=11, measure=atomic_swap_measure())
+    assert np.all(res["u"] + res["v"] == 1.0)
+    decay = np.exp(-t)
+    for obs, expected in ((res["u"][:, 0] * res["u"][:, 1], (1 - decay) / 2),
+                          (res["u"][:, 0], (1 + decay) / 2)):
+        se = obs.std(ddof=1) / np.sqrt(n)
+        assert abs(obs.mean() - expected) < 4 * se
+
+
+def test_pdmp_chunk_boundary_and_diagnostics(ring8):
+    init = _efield(8, u_at=[(0, 1.0), (1, 0.5)], v_at=[(4, 1.0), (5, 0.5)])
+    R = rngmod.CHUNK + 3
+
+    def run():
+        return pdmp_simulate(ring8, 0.0, init, horizon=0.4, eps=0.15,
+                             replicas=R, seed=12, record_events=True)
+
+    res = run()
+    assert res["u"].shape == res["v"].shape == (R, 8)
+    for key in ("n_jumps", "n_swaps", "violations", "zeroed_mass"):
+        assert res[key].shape == (R,)
+    assert np.all(res["n_swaps"] <= res["n_jumps"])
+    assert np.all(res["violations"] >= 0)
+    assert res["zeroed_mass"].max() < 1e-10
+    assert res["n_jumps"][0] > 0
+    assert len(res["events"]) == res["n_jumps"][0]
+    again = run()
+    for key in ("u", "v", "n_jumps", "n_swaps", "violations", "zeroed_mass"):
+        assert res[key].tobytes() == again[key].tobytes()
 
 
 def test_pdmp_event_record(ring8):
