@@ -9,13 +9,8 @@ Brownian motion, and the duality oracles used to cross-validate them.
 from symbranch.lattice import SiteGraph, build_torus, build_dumbbell
 from symbranch.exitlaw import (
     ExitLawParams,
-    BoundaryPoint,
     TruncatedJumpMeasure,
     critical_exponent,
-    exit_density,
-    sample_exit,
-    nu_density,
-    nu_scaled_density,
     truncate_nu,
     sample_nu_trunc,
 )
@@ -25,13 +20,8 @@ __all__ = [
     "build_torus",
     "build_dumbbell",
     "ExitLawParams",
-    "BoundaryPoint",
     "TruncatedJumpMeasure",
     "critical_exponent",
-    "exit_density",
-    "sample_exit",
-    "nu_density",
-    "nu_scaled_density",
     "truncate_nu",
     "sample_nu_trunc",
 ]

@@ -6,34 +6,30 @@ Two families of subcommands share one binary:
   [--out DIR]`), each printing one PASS/FAIL line per check and exiting 0 on
   success, 1 on a criterion failure, 2 on a config error;
 - module runners (`exitlaw validate`, `sbm run`, `sbminf run`,
-  `dual moment|coalesce|selfdual`, `voter run|compare`) that emit raw CSV
-  samples and JSON summaries for ad-hoc use.
+  `dual moment|coalesce|selfdual`, `voter run`) that emit raw CSV samples
+  and JSON summaries for ad-hoc use.
 """
 
 import argparse
-import csv
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from symbranch import rng as rngmod
-from symbranch.config import (ExperimentConfig, apply_overrides, build_graph,
-                              config_from_dict)
+from symbranch.config import apply_overrides, build_graph, config_from_dict
 from symbranch.duals import (coalescing_dual_estimate, moment_dual_estimate,
                              selfdual_check)
 from symbranch.exitlaw import (U_AXIS, V_AXIS, ExitLawParams, exit_axis_prob,
                                exit_magnitude_cdf, sample_exit_batch)
 from symbranch.experiments import (EXPERIMENTS, EXPERIMENT_DEFAULTS,
-                                   run_experiment)
-from symbranch.lattice import as_field
-from symbranch.sbm_finite import (PairField, SdeConfig, default_dt,
-                                  realized_brackets, simulate)
+                                   initial_pair, moment_dual_setup,
+                                   run_experiment, sde_config, write_csv)
+from symbranch.sbm_finite import realized_brackets, simulate
 from symbranch.sbm_infinite import BoundaryField, pdmp_simulate, trotter_simulate
 from symbranch.stats import hill_exponent, ks_statistic, pooled_mean_se
-from symbranch.voter import gillespie_simulate, voter_vs_sbminf
+from symbranch.voter import gillespie_simulate
 
 
 def main(argv=None):
@@ -95,9 +91,6 @@ def _build_parser():
     vr = vsub.add_parser("run", help="Gillespie simulation")
     _common_flags(vr)
     vr.set_defaults(handler=_cmd_voter_run)
-    vc = vsub.add_parser("compare", help="voter vs infinite-rate routes")
-    _common_flags(vc)
-    vc.set_defaults(handler=_cmd_voter_compare)
 
     return parser
 
@@ -131,24 +124,18 @@ def _load_config(args, defaults=None, experiment=""):
     return cfg
 
 
-def _emit_json(obj, out_dir, name):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+def _emit(out_dir, name, summary, tables=()):
+    """Print the JSON summary; with out_dir, also write it there as name,
+    and each (csv name, header, rows) table next to it."""
+    text = json.dumps(summary, indent=2, sort_keys=True)
     print(text)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
-            fh.write(text + "\n")
-
-
-def _emit_csv(header, rows, out_dir, name):
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(c) if isinstance(c, float) else c for c in row])
+    with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+        fh.write(text + "\n")
+    for csv_name, header, rows in tables:
+        write_csv(os.path.join(out_dir, csv_name), header, rows)
 
 
 def _cmd_experiment(args):
@@ -165,25 +152,6 @@ def _cmd_experiment(args):
 
 # ---------------------------------------------------------------------------
 # module runners
-
-
-def _pair_initial(cfg, g, field="initial", default=None):
-    blk = getattr(cfg, field)
-    if blk and ("u" in blk or "v" in blk):
-        u = as_field(g, np.asarray(blk.get("u", np.zeros(g.n_sites)), float))
-        v = as_field(g, np.asarray(blk.get("v", np.zeros(g.n_sites)), float))
-        return PairField(u, v)
-    if blk and "eta" in blk:
-        eta = as_field(g, np.asarray(blk["eta"], float))
-        return PairField(eta, 1.0 - eta)
-    if default is not None:
-        return default
-    n = g.n_sites
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[: n // 2] = 1.0
-    v[n // 2:] = 1.0
-    return PairField(u, v)
 
 
 def _cmd_exitlaw_validate(args):
@@ -218,38 +186,36 @@ def _cmd_exitlaw_validate(args):
         mean_u, se_u = pooled_mean_se(uu)
         summary.update(mean_u=mean_u, mean_u_se=se_u, mean_u_expected=u0,
                        mean_u_z=(mean_u - u0) / se_u if se_u > 0 else 0.0)
-    _emit_csv(("axis", "magnitude"),
-              [(U_AXIS if up else V_AXIS, float(m))
-               for up, m in zip(on_u, mags)],
-              args.out, "exitlaw_samples.csv")
-    _emit_json(summary, args.out, "exitlaw_summary.json")
+    _emit(args.out, "exitlaw_summary.json", summary, [
+        ("exitlaw_samples.csv", ("axis", "magnitude"),
+         ((U_AXIS if up else V_AXIS, float(m)) for up, m in zip(on_u, mags)))])
     return 0
+
+
+_FIELDS_HEADER = ("replica", "time", "site", "u", "v")
+
+
+def _field_rows(times, snaps_u, snaps_v, sites):
+    """(replica, time, site, u, v) rows of (R, n_times, n_sites) snapshots."""
+    return ((r, float(t), site, float(snaps_u[r, ti, si]),
+             float(snaps_v[r, ti, si]))
+            for r in range(snaps_u.shape[0])
+            for ti, t in enumerate(times)
+            for si, site in enumerate(sites))
 
 
 def _cmd_sbm_run(args):
     cfg = _load_config(args, experiment="sbm-run")
     g = build_graph(cfg.graph)
-    initial = _pair_initial(cfg, g)
     times = list(cfg.times) if cfg.times else [cfg.horizon]
     probes = list(cfg.probes) if cfg.probes else list(range(g.n_sites))
-    sde = SdeConfig(gamma=cfg.gamma, rho=cfg.rho, horizon=cfg.horizon,
-                    dt=cfg.dt if cfg.dt else default_dt(cfg.gamma),
-                    replicas=cfg.replicas, seed=cfg.seed, scheme=cfg.scheme)
-    obs = simulate(g, sde, initial, probes=probes, times=times)
-    rows = []
-    for r in range(cfg.replicas):
-        for ti, t in enumerate(obs.times):
-            for pi, site in enumerate(probes):
-                rows.append((r, float(t), site,
-                             float(obs.probe_u[r, ti, pi]),
-                             float(obs.probe_v[r, ti, pi])))
-    _emit_csv(("replica", "time", "site", "u", "v"), rows, args.out,
-              "sbm_fields.csv")
+    obs = simulate(g, sde_config(cfg), initial_pair(cfg, g), probes=probes,
+                   times=times)
     ok = ~obs.aborted
     mean_u, se_u = pooled_mean_se(obs.total_u[ok])
     mean_v, se_v = pooled_mean_se(obs.total_v[ok])
     br = realized_brackets(obs)
-    _emit_json({
+    _emit(args.out, "sbm_summary.json", {
         "config": cfg.to_dict(),
         "mean_total_u": mean_u, "se_total_u": se_u,
         "mean_total_v": mean_v, "se_total_v": se_v,
@@ -260,16 +226,18 @@ def _cmd_sbm_run(args):
         "predicted_quad": br["predicted_quad"],
         "clamp_total": int(np.sum(obs.clamp_count)),
         "aborted": int(obs.aborted.sum()),
-    }, args.out, "sbm_summary.json")
+    }, [("sbm_fields.csv", _FIELDS_HEADER,
+         _field_rows(obs.times, obs.probe_u, obs.probe_v, probes))])
     return 0
 
 
 def _cmd_sbminf_run(args):
     cfg = _load_config(args, experiment="sbminf-run")
     g = build_graph(cfg.graph)
-    pair = _pair_initial(cfg, g)
+    pair = initial_pair(cfg, g)
     initial = BoundaryField(pair.u, pair.v)
     summary = {"config": cfg.to_dict(), "method": cfg.method}
+    tables = []
     if cfg.method == "trotter":
         res = trotter_simulate(g, cfg.rho, initial, cfg.horizon, cfg.eps,
                                replicas=cfg.replicas, seed=cfg.seed,
@@ -293,28 +261,21 @@ def _cmd_sbminf_run(args):
         summary["swaps_total"] = int(res["n_swaps"].sum())
         summary["violations_total"] = int(res["violations"].sum())
         summary["zeroed_mass_total"] = float(res["zeroed_mass"].sum())
-        _emit_csv(("replica", "n_jumps", "n_swaps", "violations",
-                   "zeroed_mass"),
-                  [(r, int(res["n_jumps"][r]), int(res["n_swaps"][r]),
-                    int(res["violations"][r]), float(res["zeroed_mass"][r]))
-                   for r in range(cfg.replicas)],
-                  args.out, "sbminf_diagnostics.csv")
-    rows = []
-    for r in range(cfg.replicas):
-        for ti, t in enumerate(times):
-            for site in range(g.n_sites):
-                rows.append((r, float(t), site,
-                             float(snaps_u[r, ti, site]),
-                             float(snaps_v[r, ti, site])))
-    _emit_csv(("replica", "time", "site", "u", "v"), rows, args.out,
-              "sbminf_fields.csv")
+        tables.append((
+            "sbminf_diagnostics.csv",
+            ("replica", "n_jumps", "n_swaps", "violations", "zeroed_mass"),
+            ((r, int(res["n_jumps"][r]), int(res["n_swaps"][r]),
+              int(res["violations"][r]), float(res["zeroed_mass"][r]))
+             for r in range(cfg.replicas))))
+    tables.append(("sbminf_fields.csv", _FIELDS_HEADER,
+                   _field_rows(times, snaps_u, snaps_v, range(g.n_sites))))
     u, v = res["u"], res["v"]
     mean_u, se_u = pooled_mean_se(u.sum(axis=1))
     mean_v, se_v = pooled_mean_se(v.sum(axis=1))
     summary.update(mean_total_u=mean_u, se_total_u=se_u,
                    mean_total_v=mean_v, se_total_v=se_v,
                    max_product=float(np.max(u * v)))
-    _emit_json(summary, args.out, "sbminf_summary.json")
+    _emit(args.out, "sbminf_summary.json", summary, tables)
     return 0
 
 
@@ -322,36 +283,29 @@ def _cmd_dual(args):
     cfg = _load_config(args, experiment=f"dual-{args.dual_kind}")
     g = build_graph(cfg.graph)
     if args.dual_kind == "moment":
-        initial = _pair_initial(cfg, g, default=PairField(
-            np.full(g.n_sites, 1.0), np.full(g.n_sites, 0.5)))
-        u_sites = list(cfg.u_sites) if cfg.u_sites else [0]
-        v_sites = list(cfg.v_sites) if cfg.v_sites else [min(1, g.n_sites - 1)]
+        initial, u_sites, v_sites = moment_dual_setup(cfg, g)
         mean, se = moment_dual_estimate(
             g, cfg.gamma, cfg.rho, initial, u_sites, v_sites, cfg.horizon,
             replicas=cfg.replicas, seed=cfg.seed)
-        _emit_json({"config": cfg.to_dict(), "estimate": mean, "se": se,
-                    "replicas": cfg.replicas, "u_sites": u_sites,
-                    "v_sites": v_sites}, args.out, "dual_moment.json")
+        _emit(args.out, "dual_moment.json", {
+            "config": cfg.to_dict(), "estimate": mean, "se": se,
+            "replicas": cfg.replicas, "u_sites": u_sites,
+            "v_sites": v_sites})
     elif args.dual_kind == "coalesce":
-        initial = _pair_initial(cfg, g)
         sites = list(cfg.sites) if cfg.sites else [0, min(1, g.n_sites - 1)]
-        mean, se = coalescing_dual_estimate(g, initial.u, sites, cfg.horizon,
+        mean, se = coalescing_dual_estimate(g, initial_pair(cfg, g).u, sites,
+                                            cfg.horizon,
                                             replicas=cfg.replicas,
                                             seed=cfg.seed)
-        _emit_json({"config": cfg.to_dict(), "estimate": mean, "se": se,
-                    "replicas": cfg.replicas, "sites": sites}, args.out,
-                   "dual_coalesce.json")
+        _emit(args.out, "dual_coalesce.json", {
+            "config": cfg.to_dict(), "estimate": mean, "se": se,
+            "replicas": cfg.replicas, "sites": sites})
     else:
-        x0 = _pair_initial(cfg, g)
-        y0 = _pair_initial(cfg, g, field="initial_y", default=None)
-        if getattr(cfg, "initial_y") is None:
+        if cfg.initial_y is None:
             raise ValueError("selfdual needs an initial_y block")
-        sde = SdeConfig(gamma=cfg.gamma, rho=cfg.rho, horizon=cfg.horizon,
-                        dt=cfg.dt if cfg.dt else default_dt(cfg.gamma),
-                        replicas=cfg.replicas, seed=cfg.seed,
-                        scheme=cfg.scheme)
-        chk = selfdual_check(g, sde, x0, y0)
-        _emit_json({
+        chk = selfdual_check(g, sde_config(cfg), initial_pair(cfg, g),
+                             initial_pair(cfg, g, field="initial_y"))
+        _emit(args.out, "dual_selfdual.json", {
             "config": cfg.to_dict(),
             "evolved_x": [chk["mean_evolved_x"].real,
                           chk["mean_evolved_x"].imag],
@@ -360,70 +314,29 @@ def _cmd_dual(args):
             "gap_re": chk["gap_re"], "gap_im": chk["gap_im"],
             "se_gap_re": chk["se_gap_re"], "se_gap_im": chk["se_gap_im"],
             "replicas": cfg.replicas, "aborted": chk["aborted"],
-        }, args.out, "dual_selfdual.json")
+        })
     return 0
-
-
-def _voter_eta(cfg, g):
-    if cfg.initial and "eta" in cfg.initial:
-        return np.asarray(cfg.initial["eta"], dtype=int)
-    n = g.n_sites
-    eta = np.zeros(n, dtype=int)
-    eta[: n // 2] = 1
-    return eta
 
 
 def _cmd_voter_run(args):
     cfg = _load_config(args, experiment="voter-run")
     g = build_graph(cfg.graph)
-    eta0 = _voter_eta(cfg, g)
-    res = gillespie_simulate(g, eta0, cfg.horizon, replicas=cfg.replicas,
-                             seed=cfg.seed, times=cfg.times)
+    res = gillespie_simulate(g, initial_pair(cfg, g).u, cfg.horizon,
+                             replicas=cfg.replicas, seed=cfg.seed,
+                             times=cfg.times)
     snaps = res["opinions"]
-    rows = []
-    for r in range(cfg.replicas):
-        for ti, t in enumerate(res["times"]):
-            for site in range(g.n_sites):
-                rows.append((r, float(t), site, int(snaps[r, ti, site])))
-    _emit_csv(("replica", "time", "site", "opinion"), rows, args.out,
-              "voter_fields.csv")
     final = snaps[:, -1, :]
     consensus = float(np.mean((final == final[:, :1]).all(axis=1)))
-    _emit_json({
+    _emit(args.out, "voter_summary.json", {
         "config": cfg.to_dict(),
         "mean_density": float(final.mean()),
         "consensus_fraction": consensus,
         "mean_flips": float(res["flips"].mean()),
-    }, args.out, "voter_summary.json")
-    return 0
-
-
-def _cmd_voter_compare(args):
-    cfg = _load_config(args, experiment="voter-compare")
-    g = build_graph(cfg.graph)
-    eta0 = _voter_eta(cfg, g)
-    pairs = [tuple(p) for p in cfg.pairs] if cfg.pairs else \
-        [(0, 1), (0, g.n_sites // 2)]
-    cmp = voter_vs_sbminf(g, eta0, cfg.horizon, pairs, replicas=cfg.replicas,
-                          seed=cfg.seed, trotter_eps=cfg.eps)
-    report = {"config": cfg.to_dict(),
-              "pdmp_magnitudes_exact": cmp["pdmp_magnitudes_exact"],
-              "pdmp_rates_exact": cmp["pdmp_rates_exact"]}
-    for route in ("voter", "coalescing", "trotter", "pdmp"):
-        report[route] = {f"{x}-{y}": list(cmp[route][(x, y)])
-                         for (x, y) in pairs}
-    gaps = {}
-    for ra, rb in (("voter", "trotter"), ("voter", "pdmp"),
-                   ("trotter", "pdmp")):
-        for pair in pairs:
-            ma, sa = cmp[ra][pair]
-            mb, sb = cmp[rb][pair]
-            gaps[f"{ra}/{rb}/{pair[0]}-{pair[1]}"] = {
-                "gap": abs(ma - mb),
-                "combined_se": math.hypot(sa, sb),
-            }
-    report["gaps"] = gaps
-    _emit_json(report, args.out, "voter_compare.json")
+    }, [("voter_fields.csv", ("replica", "time", "site", "opinion"),
+         ((r, float(t), site, int(snaps[r, ti, site]))
+          for r in range(cfg.replicas)
+          for ti, t in enumerate(res["times"])
+          for site in range(g.n_sites)))])
     return 0
 
 

@@ -63,12 +63,11 @@ class ExperimentConfig:
                 if extra:
                     paths = ", ".join(sorted(f"{name}.{k}" for k in extra))
                     raise ValueError(f"unknown config keys: {paths}")
+                if "eta" in blk and len(blk) > 1:
+                    raise ValueError(f"{name}: eta cannot be mixed with u/v")
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def validate_graph_spec(spec):

@@ -122,14 +122,14 @@ class ColoredParticleSystem:
 
 
 def moment_dual_estimate(g, gamma, rho, initial, u_sites, v_sites, t,
-                         replicas=10000, seed=0, force=False,
-                         color_dynamics=True, rng_tag="moment-dual"):
+                         replicas=10000, seed=0, color_dynamics=True,
+                         rng_tag="moment-dual"):
     """Dual-route estimate of E[prod u_t(k) prod v_t(k)] with standard error.
 
     initial is the start pair (u0, v0) of the forward process (a PairField or
     a 2-tuple of fields). Variance of the exponential weight explodes once
-    gamma * t * n_pairs is large; refuses beyond 10 unless force=True, warns
-    when the relative standard error exceeds 50%.
+    gamma * t * n_pairs is large; refuses beyond 10, and warns when the
+    relative standard error exceeds 50%.
     """
     u0raw, v0raw = (initial.u, initial.v) if hasattr(initial, "u") else initial
     u0 = np.asarray(u0raw, dtype=float)
@@ -138,9 +138,9 @@ def moment_dual_estimate(g, gamma, rho, initial, u_sites, v_sites, t,
     colors = [1] * len(u_sites) + [2] * len(v_sites)
     n_pairs = len(sites) * (len(sites) - 1) / 2
     budget = gamma * t * n_pairs
-    if budget > 10 and not force:
+    if budget > 10:
         raise ValueError(f"gamma*t*pairs = {budget:.1f} > 10: exponential weight "
-                         "variance is untrustworthy; pass force=True to override")
+                         "variance is untrustworthy")
     vals = np.empty(replicas)
     for r in range(replicas):
         rng = rngmod.stream(seed, rng_tag, r)

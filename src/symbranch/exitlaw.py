@@ -82,28 +82,6 @@ class ExitLawParams:
         return math.cos(self.phi)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Point of E: an axis label and a nonnegative magnitude.
-
-    The origin is representable on either axis; it is normalized to the U-axis.
-    """
-
-    axis: str
-    magnitude: float
-
-    def __post_init__(self):
-        if self.axis not in (U_AXIS, V_AXIS):
-            raise ValueError(f"axis must be '{U_AXIS}' or '{V_AXIS}'")
-        if not self.magnitude >= 0:
-            raise ValueError("magnitude must be nonnegative")
-        if self.magnitude == 0 and self.axis != U_AXIS:
-            object.__setattr__(self, "axis", U_AXIS)
-
-    def as_pair(self):
-        return (self.magnitude, 0.0) if self.axis == U_AXIS else (0.0, self.magnitude)
-
-
 def halfplane_image(params, u, v):
     """Upper-half-plane image (z1, z2) of a quadrant point under the exit map."""
     q = params.root1m2
@@ -131,13 +109,6 @@ def exit_density_on_axis(params, start, axis, r):
     jac = (p / q) * (r / q) ** (p - 1.0)
     shift = s - z1 if axis == U_AXIS else s + z1
     return (z2 / (np.pi * (z2**2 + shift**2))) * jac
-
-
-def exit_density(params, start, pt):
-    """Density of the exit law at a boundary point (scalar contract)."""
-    if pt.magnitude <= 0:
-        raise ValueError("density is defined for positive magnitudes")
-    return float(exit_density_on_axis(params, start, pt.axis, pt.magnitude))
 
 
 def exit_axis_prob(params, start, axis=U_AXIS):
@@ -228,17 +199,6 @@ def sample_exit_batch(params, u, v, rng):
     return u, v
 
 
-def sample_exit(params, start, rng):
-    """Exact draw from the exit law started at (u, v); returns a BoundaryPoint."""
-    u, v = start
-    if not (u >= 0 and v >= 0):
-        raise ValueError("start must be in the closed quadrant")
-    uu, vv = sample_exit_batch(params, np.array([u]), np.array([v]), rng)
-    if vv[0] > 0:
-        return BoundaryPoint(V_AXIS, float(vv[0]))
-    return BoundaryPoint(U_AXIS, float(uu[0]))
-
-
 # ---------------------------------------------------------------------------
 # jump measure nu and its balanced truncation
 # ---------------------------------------------------------------------------
@@ -257,20 +217,6 @@ def nu_density_on_axis(rho, axis, y, a=1.0):
             raise PoleValue(f"keep-branch density is infinite at magnitude {a}")
         return c * a ** (p - 1.0) * y ** (p - 1.0) / denom
     return c * a ** (p - 1.0) * y ** (p - 1.0) / (y**p + a**p) ** 2
-
-
-def nu_density(rho, pt):
-    """Density of the unit jump measure at a boundary point."""
-    if pt.magnitude <= 0:
-        raise ValueError("density is defined for positive magnitudes")
-    return float(nu_density_on_axis(rho, pt.axis, pt.magnitude))
-
-
-def nu_scaled_density(rho, a, pt):
-    """Density of the jump measure seen from magnitude a (pole at y1 = a)."""
-    if pt.magnitude <= 0:
-        raise ValueError("density is defined for positive magnitudes")
-    return float(nu_density_on_axis(rho, pt.axis, pt.magnitude, a=a))
 
 
 @dataclass(frozen=True)
@@ -303,10 +249,6 @@ class TruncatedJumpMeasure:
     @property
     def total_mass(self):
         return self.mass_low + self.mass_up + self.mass_swap
-
-    @property
-    def params(self):
-        return ExitLawParams(self.rho)
 
 
 def atomic_swap_measure():
@@ -410,29 +352,25 @@ def truncate_nu(rho, eps):
     )
 
 
-def sample_nu_trunc(measure, rng, size=None):
-    """Draw marks from the truncated measure.
+def sample_nu_trunc(measure, rng, size):
+    """Draw size marks from the truncated measure.
 
-    Returns a BoundaryPoint when size is None, else (is_swap bool array,
-    magnitude array): is_swap marks the axis-swapping branch. Magnitudes come
-    from the exact closed-form branch quantiles, so sampled moments match the
-    measure's stated m2 and balance without discretization bias.
+    Returns (is_swap bool array, magnitude array): is_swap marks the
+    axis-swapping branch. Magnitudes come from the exact closed-form branch
+    quantiles, so sampled moments match the measure's stated m2 and balance
+    without discretization bias.
     """
-    scalar = size is None
-    n = 1 if scalar else int(size)
     masses = np.array([b[1] for b in measure.branches])
     probs = masses / masses.sum()
-    seg = rng.choice(len(measure.branches), size=n, p=probs)
-    mag = np.empty(n)
-    swap = np.zeros(n, dtype=bool)
-    u = rng.random(n)
+    seg = rng.choice(len(measure.branches), size=size, p=probs)
+    mag = np.empty(size)
+    swap = np.zeros(size, dtype=bool)
+    u = rng.random(size)
     for i, (is_swap, _, quantile) in enumerate(measure.branches):
         pick = seg == i
         if np.any(pick):
             mag[pick] = quantile(u[pick])
             swap[pick] = is_swap
-    if scalar:
-        return BoundaryPoint(V_AXIS if swap[0] else U_AXIS, float(mag[0]))
     return swap, mag
 
 

@@ -22,9 +22,9 @@ from symbranch.exitlaw import (U_AXIS, V_AXIS, ExitLawParams, critical_exponent,
                                euler_exit_oracle, exit_axis_mass_quadrature,
                                exit_magnitude_cdf, nu_density_on_axis,
                                sample_exit_batch, truncate_nu)
-from symbranch.sbm_finite import (PairField, SdeConfig, default_dt,
-                                  nonspatial_simulate, realized_brackets,
-                                  simulate)
+from symbranch.lattice import as_field
+from symbranch.sbm_finite import (PairField, SdeConfig, nonspatial_simulate,
+                                  realized_brackets, simulate)
 from symbranch.sbm_infinite import (BoundaryField, martingale_functional_check,
                                     pdmp_simulate, trotter_simulate)
 from symbranch.stats import (hill_exponent, ks_statistic, ks_two_sample,
@@ -104,6 +104,15 @@ def _fmt_cell(x):
     return str(x)
 
 
+def write_csv(path, header, rows):
+    """Write one CSV table: a header line, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt_cell(c) for c in row])
+
+
 def write_artifacts(report, out_dir):
     """Write the JSON report and the per-table CSVs; returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -116,11 +125,7 @@ def write_artifacts(report, out_dir):
     for name in sorted(report.tables):
         header, rows = report.tables[name]
         cpath = os.path.join(out_dir, f"{report.experiment}_{name}.csv")
-        with open(cpath, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt_cell(c) for c in row])
+        write_csv(cpath, header, rows)
         paths.append(cpath)
     return paths
 
@@ -138,6 +143,52 @@ class _Clock:
 
 
 # ---------------------------------------------------------------------------
+# config helpers, shared with the module runners of the CLI
+
+
+def initial_pair(cfg, g, default=None, field="initial"):
+    """Start fields of the config block cfg.<field> as a PairField.
+
+    {"u": [...], "v": [...]} gives the two fields, a missing one being zero;
+    {"eta": [...]} gives the opinion encoding (eta, 1 - eta). Without a block
+    the start is default, or, if that is None, u = 1 on the first n//2 sites
+    and v = 1 on the others.
+    """
+    blk = getattr(cfg, field)
+    n = g.n_sites
+    if blk and "eta" in blk:
+        u = as_field(g, blk["eta"])
+        v = 1.0 - u
+    elif blk:
+        u = as_field(g, blk.get("u", np.zeros(n)))
+        v = as_field(g, blk.get("v", np.zeros(n)))
+    elif default is not None:
+        return default
+    else:
+        u = (np.arange(n) < n // 2).astype(float)
+        v = 1.0 - u
+    return PairField(u, v)
+
+
+def sde_config(cfg, **overrides):
+    """The SdeConfig of an experiment config; dt None means default_dt(gamma)."""
+    kwargs = dict(gamma=cfg.gamma, rho=cfg.rho, horizon=cfg.horizon,
+                  dt=cfg.dt, replicas=cfg.replicas, seed=cfg.seed,
+                  scheme=cfg.scheme)
+    kwargs.update(overrides)
+    return SdeConfig(**kwargs)
+
+
+def moment_dual_setup(cfg, g):
+    """Start pair and u/v walker sites of a moment-dual run."""
+    initial = initial_pair(cfg, g, PairField(np.full(g.n_sites, 1.0),
+                                             np.full(g.n_sites, 0.5)))
+    u_sites = list(cfg.u_sites) if cfg.u_sites else [0]
+    v_sites = list(cfg.v_sites) if cfg.v_sites else [min(1, g.n_sites - 1)]
+    return initial, u_sites, v_sites
+
+
+# ---------------------------------------------------------------------------
 # exit-law validation: exponent values, normalization, sampler vs density,
 # sampler vs brute-force Euler, jump-measure facts
 
@@ -152,7 +203,7 @@ def _run_exitlaw_validate(cfg):
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.9, -0.5, 0.0, 0.5, 0.9)
     n_ks = int(cfg.replicas)
     n_euler = min(n_ks, 10000)
-    dt = cfg.dt if cfg.dt else 1e-4
+    dt = cfg.dt or 1e-4
 
     exp_table = []
     for rho, expect, tol in ((0.0, 2.0, 0.0), (1.0, 1.0, 0.0),
@@ -296,7 +347,7 @@ def _run_moment_curve(cfg):
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.5, 0.0, 0.5)
     n_mag = int(cfg.replicas)
     n_time = max(n_mag // 10, 1000)
-    dt = cfg.dt if cfg.dt else 1e-2
+    dt = cfg.dt or 1e-2
     table = []
     for rho in grid:
         params = ExitLawParams(rho)
@@ -335,25 +386,14 @@ def _run_moment_curve(cfg):
 # finite-rate mass martingale and quadratic brackets
 
 
-def _half_half(n):
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[: n // 2] = 1.0
-    v[n // 2:] = 1.0
-    return PairField(u, v)
-
-
 def _finite_rate_runs(cfg, tag):
     g = build_graph(cfg.graph)
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.5, 0.0, 0.5)
-    initial = _build_pair_initial(cfg, g) or _half_half(g.n_sites)
+    initial = initial_pair(cfg, g)
     out = []
     for rho in grid:
-        sde = SdeConfig(gamma=cfg.gamma, rho=rho, horizon=cfg.horizon,
-                        dt=cfg.dt if cfg.dt else default_dt(cfg.gamma),
-                        replicas=cfg.replicas, seed=cfg.seed,
-                        scheme=cfg.scheme)
-        obs = simulate(g, sde, initial, rng_tag=f"{tag}-{rho}")
+        obs = simulate(g, sde_config(cfg, rho=rho), initial,
+                       rng_tag=f"{tag}-{rho}")
         out.append((rho, initial, obs))
     return out
 
@@ -408,20 +448,13 @@ def _run_duality_moment(cfg):
     clock = _Clock()
     g = build_graph(cfg.graph)
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.5, 0.0)
-    initial = _build_pair_initial(cfg, g) or PairField(
-        np.full(g.n_sites, 1.0), np.full(g.n_sites, 0.5))
-    u_sites = list(cfg.u_sites) if cfg.u_sites else [0]
-    v_sites = list(cfg.v_sites) if cfg.v_sites else [min(1, g.n_sites - 1)]
+    initial, u_sites, v_sites = moment_dual_setup(cfg, g)
     t = cfg.horizon
     table = []
     for rho in grid:
-        sde = SdeConfig(gamma=cfg.gamma, rho=rho, horizon=t,
-                        dt=cfg.dt if cfg.dt else default_dt(cfg.gamma),
-                        replicas=cfg.replicas, seed=cfg.seed,
-                        scheme=cfg.scheme)
         probes = sorted(set(u_sites) | set(v_sites))
-        obs = simulate(g, sde, initial, probes=probes, times=[t],
-                       rng_tag=f"dual-euler-{rho}")
+        obs = simulate(g, sde_config(cfg, rho=rho), initial, probes=probes,
+                       times=[t], rng_tag=f"dual-euler-{rho}")
         idx = {site: i for i, site in enumerate(probes)}
         vals = np.ones(obs.probe_u.shape[0])
         for s in u_sites:
@@ -448,32 +481,25 @@ def _run_duality_self(cfg):
     clock = _Clock()
     g = build_graph(cfg.graph)
     n = g.n_sites
-    x0 = _build_pair_initial(cfg, g)
-    if x0 is None:
-        u = np.zeros(n)
-        v = np.zeros(n)
-        u[0] = 1.0
-        v[min(1, n - 1)] = 0.8
-        if n > 2:
-            u[2] = 0.5
-        if n > 3:
-            v[3] = 0.5
-        x0 = PairField(u, v)
-    y0 = _build_pair_initial(cfg, g, field="initial_y")
-    if y0 is None:
-        uy = np.zeros(n)
-        vy = np.zeros(n)
-        uy[0] = 0.4
-        if n > 2:
-            uy[2] = 0.3
-        vy[min(1, n - 1)] = 0.2
-        if n > 3:
-            vy[3] = 0.5
-        y0 = PairField(uy, vy)
-    sde = SdeConfig(gamma=cfg.gamma, rho=cfg.rho, horizon=cfg.horizon,
-                    dt=cfg.dt if cfg.dt else default_dt(cfg.gamma),
-                    replicas=cfg.replicas, seed=cfg.seed, scheme=cfg.scheme)
-    chk = selfdual_check(g, sde, x0, y0)
+    u = np.zeros(n)
+    v = np.zeros(n)
+    u[0] = 1.0
+    v[min(1, n - 1)] = 0.8
+    if n > 2:
+        u[2] = 0.5
+    if n > 3:
+        v[3] = 0.5
+    x0 = initial_pair(cfg, g, PairField(u, v))
+    uy = np.zeros(n)
+    vy = np.zeros(n)
+    uy[0] = 0.4
+    if n > 2:
+        uy[2] = 0.3
+    vy[min(1, n - 1)] = 0.2
+    if n > 3:
+        vy[3] = 0.5
+    y0 = initial_pair(cfg, g, PairField(uy, vy), field="initial_y")
+    chk = selfdual_check(g, sde_config(cfg), x0, y0)
     dt_run = clock.lap()
     rows.append(CriterionRow(
         "self-duality real gap", abs(chk["gap_re"]), 0.0,
@@ -514,10 +540,8 @@ def _run_gamma_limit(cfg):
     ks_u, ks_v, q99s = [], [], []
     table = []
     for gamma in gammas:
-        sde = SdeConfig(gamma=gamma, rho=rho, horizon=cfg.horizon,
-                        dt=cfg.dt if cfg.dt else default_dt(gamma),
-                        replicas=n, seed=cfg.seed, scheme=cfg.scheme)
-        res = nonspatial_simulate(sde, start, rng_tag=f"gamma-{gamma}")
+        res = nonspatial_simulate(sde_config(cfg, gamma=gamma), start,
+                                  rng_tag=f"gamma-{gamma}")
         u, v = res["u"], res["v"]
         on_u = u >= v
         du = ks_two_sample(u[on_u], ref_u)[0]
@@ -553,9 +577,6 @@ def _run_gamma_limit(cfg):
 
 
 def _default_boundary(cfg, g):
-    start = _build_boundary_initial(cfg, g)
-    if start is not None:
-        return start
     n = g.n_sites
     u = np.zeros(n)
     v = np.zeros(n)
@@ -565,7 +586,8 @@ def _default_boundary(cfg, g):
     v[min(1, n - 1)] = 0.8
     if n > 3:
         v[3] = 0.3
-    return BoundaryField(u, v)
+    start = initial_pair(cfg, g, PairField(u, v))
+    return BoundaryField(start.u, start.v)
 
 
 def _moment_obs(fields, power=0.8):
@@ -607,8 +629,9 @@ def _run_pdmp_vs_trotter(cfg):
     rows = []
     clock = _Clock()
     g = build_graph(cfg.graph)
-    start = _build_boundary_initial(cfg, g) or BoundaryField(
-        np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+    # pdmp_simulate, which runs first, rejects a start off the boundary set
+    start = initial_pair(cfg, g, PairField(np.array([2.0, 0.0]),
+                                           np.array([0.0, 1.0])))
     eps_ladder = (2.0 * cfg.trunc_eps, cfg.trunc_eps)
     table = []
     max_prod = 0.0
@@ -688,11 +711,7 @@ def _run_voter_limit(cfg):
     clock = _Clock()
     g = build_graph(cfg.graph)
     n = g.n_sites
-    if cfg.initial and "eta" in cfg.initial:
-        eta0 = np.asarray(cfg.initial["eta"], dtype=int)
-    else:
-        eta0 = np.zeros(n, dtype=int)
-        eta0[: n // 2] = 1
+    eta0 = initial_pair(cfg, g).u
     pairs = [tuple(p) for p in cfg.pairs] if cfg.pairs else [(0, 1),
                                                              (0, n // 2)]
     cmp = voter_vs_sbminf(g, eta0, cfg.horizon, pairs,
@@ -729,23 +748,6 @@ def _run_voter_limit(cfg):
 
 # ---------------------------------------------------------------------------
 # registry and entry point
-
-
-def _build_pair_initial(cfg, g, field="initial"):
-    blk = getattr(cfg, field)
-    if not blk or "u" not in blk:
-        return None
-    from symbranch.lattice import as_field
-    u = as_field(g, np.asarray(blk["u"], dtype=float))
-    v = as_field(g, np.asarray(blk.get("v", np.zeros_like(u)), dtype=float))
-    return PairField(u, v)
-
-
-def _build_boundary_initial(cfg, g):
-    pair = _build_pair_initial(cfg, g)
-    if pair is None:
-        return None
-    return BoundaryField(pair.u, pair.v)
 
 
 _TORUS8 = {"kind": "torus", "d": 1, "L": 8}

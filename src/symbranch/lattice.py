@@ -2,15 +2,13 @@
 
 Graphs are small (tori of side L, or the 2-site dumbbell), stored dense. The
 generator is a symmetric Q-matrix: nonnegative off-diagonal rates, rows summing
-to zero. Test weights beta are identically 1 at this scale; the weighted-norm
-bound sum_i beta(i)|a(i,k)| <= M*beta(k) holds with M = 2 for every graph built
-here (|a(k,k)| <= 1 and column sums of |a| equal 2|a(k,k)|).
+to zero. Being symmetric, it is diagonalized once per graph, and every heat
+kernel exp(t*A) is read off that one eigendecomposition.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 
 @dataclass(frozen=True)
@@ -18,10 +16,8 @@ class SiteGraph:
     """Finite vertex set with symmetric zero-row-sum rate matrix."""
 
     rates: np.ndarray          # (n, n) Q-matrix
-    beta: np.ndarray           # (n,) positive test weights
-    M: float = 2.0             # recorded weighted-norm constant
     label: str = ""
-    _expm_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.rates, dtype=float)
@@ -35,16 +31,12 @@ class SiteGraph:
         if np.max(np.abs(a.sum(axis=1))) > 1e-12:
             raise ValueError("rows must sum to zero")
         object.__setattr__(self, "rates", a)
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if self.beta.shape != (a.shape[0],) or np.any(self.beta <= 0):
-            raise ValueError("beta must be positive, one weight per site")
+        # (eigenvalues, orthonormal eigenvectors) of the generator
+        object.__setattr__(self, "spectrum", np.linalg.eigh(a))
 
     @property
     def n_sites(self):
         return self.rates.shape[0]
-
-    def __hash__(self):
-        return id(self)
 
 
 def as_field(g, values):
@@ -77,7 +69,7 @@ def build_torus(d, L):
                 j = int(np.ravel_multi_index(nb, (L,) * d))
                 a[k, j] += rate
     np.fill_diagonal(a, -a.sum(axis=1))
-    return SiteGraph(rates=a, beta=np.ones(n), label=f"torus(d={d},L={L})")
+    return SiteGraph(rates=a, label=f"torus(d={d},L={L})")
 
 
 def build_dumbbell(rate=0.5):
@@ -85,29 +77,19 @@ def build_dumbbell(rate=0.5):
     if rate <= 0:
         raise ValueError("rate must be positive")
     a = np.array([[-rate, rate], [rate, -rate]], dtype=float)
-    return SiteGraph(rates=a, beta=np.ones(2), label=f"dumbbell(rate={rate})")
-
-
-def apply_generator(g, f):
-    """(Af)(i) = sum_j a(i,j) f(j); acts on the last axis of f."""
-    f = as_field(g, f)
-    return f @ g.rates.T
+    return SiteGraph(rates=a, label=f"dumbbell(rate={rate})")
 
 
 def heat_semigroup(g, t):
-    """exp(t*A): symmetric stochastic matrix, cached per (graph, t)."""
+    """exp(t*A) = V diag(e^{t*lam}) V^T, a symmetric stochastic matrix.
+
+    Entries are clipped at 0: where exp(t*A) is ~0 the spectral form leaves
+    roundoff of either sign (down to ~-5e-16), and a negative entry would
+    break sampling from a row and transporting mass with it.
+    """
     if t < 0:
         raise ValueError("time must be >= 0")
-    key = float(t)
-    P = g._expm_cache.get(key)
-    if P is None:
-        P = np.eye(g.n_sites) if t == 0 else expm(t * g.rates)
-        P.setflags(write=False)
-        g._expm_cache[key] = P
-    return P
-
-
-def beta_pairing(g, f):
-    """<f, beta> = sum_k f(k) beta(k)."""
-    f = as_field(g, f)
-    return float(f @ g.beta)
+    if t == 0:
+        return np.eye(g.n_sites)
+    lam, V = g.spectrum
+    return np.maximum((V * np.exp(t * lam)) @ V.T, 0.0)

@@ -114,19 +114,6 @@ def _step_batch(u, v, A, gamma, rho, dt, z1, zperp, clamp_count, heat=None):
     return un, vn
 
 
-def step_euler(state, g, cfg, rng):
-    """Single full-truncation Euler step of one pair field."""
-    u = as_field(g, state.u)[None, :]
-    v = as_field(g, state.v)[None, :]
-    clamp = np.zeros(1, dtype=np.int64)
-    heat = heat_semigroup(g, cfg.dt) if cfg.scheme == "split" else None
-    z1 = rng.standard_normal(u.shape)
-    zperp = rng.standard_normal(u.shape)
-    un, vn = _step_batch(u, v, g.rates, cfg.gamma, cfg.rho, cfg.dt,
-                         z1, zperp, clamp, heat)
-    return PairField(un[0], vn[0])
-
-
 def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
              max_crossings=64, rng_tag="sbm-finite"):
     """Run cfg.replicas Euler trajectories; returns MassObservables.

@@ -52,10 +52,6 @@ class BoundaryField:
         if np.any((self.u != 0) & (self.v != 0)):
             raise ValueError("at most one of (u, v) may be positive per site")
 
-    @property
-    def magnitude(self):
-        return self.u + self.v
-
 
 @dataclass(frozen=True)
 class JumpEvent:
@@ -81,11 +77,10 @@ def project_to_boundary(u, v):
     return u, v, zeroed if u.ndim > 1 else float(zeroed)
 
 
-def intensity(g, state, k=None):
-    """Jump intensity of the boundary process, validated.
+def intensity(g, state):
+    """Per-site jump intensity of the boundary process, validated.
 
     AV(k)/U(k) on a U-site, AU(k)/V(k) on a V-site, 0 where both vanish.
-    Returns the full per-site array, or the single rate at site k if given.
     Raises NegativeIntensity if any rate is negative, which on a valid
     boundary state cannot happen (the generator rows have nonnegative
     off-diagonal entries and the diagonal multiplies an exact zero).
@@ -97,9 +92,7 @@ def intensity(g, state, k=None):
     rate = _intensity_arrays(u, v, au, av)
     if np.any(rate < 0):
         raise NegativeIntensity("negative jump intensity: state off the boundary set")
-    if k is None:
-        return rate
-    return float(rate[..., k])
+    return rate
 
 
 def _intensity_arrays(u, v, au, av):

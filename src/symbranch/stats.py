@@ -91,11 +91,3 @@ def tail_slope(samples, q_lo=0.90, q_hi=0.995, n_grid=40):
     slope, _ = np.polyfit(np.log(grid[keep]), np.log(surv[keep]), 1)
     return float(-slope)
 
-
-def quantile_se(samples, q, n_boot=200, seed=0):
-    """Bootstrap standard error of an empirical quantile."""
-    x = np.asarray(samples, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.integers(0, x.size, size=(n_boot, x.size))
-    qs = np.quantile(x[idx], q, axis=1)
-    return float(np.std(qs, ddof=1))

@@ -37,15 +37,8 @@ class OpinionField:
         return BoundaryField(self.eta.astype(float), 1.0 - self.eta)
 
 
-def flip_rate(g, eta, k):
-    """Rate sum_j a(k,j) 1{eta(j) != eta(k)} at site k."""
-    eta = np.asarray(eta)
-    row = g.rates[k].copy()
-    row[k] = 0.0
-    return float(row[eta != eta[k]].sum())
-
-
-def _all_flip_rates(g, eta):
+def _voter_rates(g, eta):
+    """Rate sum_j a(k,j) 1{eta(j) != eta(k)} of every site k."""
     off = g.rates - np.diag(np.diag(g.rates))
     disagree = (eta[None, :] != eta[:, None])
     return (off * disagree).sum(axis=1)
@@ -67,7 +60,7 @@ def gillespie_simulate(g, eta0, horizon, replicas=1, seed=0, times=None,
     for r in range(replicas):
         rng = rngmod.stream(seed, rng_tag, r)
         eta = eta0.copy()
-        rates = _all_flip_rates(g, eta)
+        rates = _voter_rates(g, eta)
         t = 0.0
         next_rec = 0
         while next_rec < times.size:
@@ -82,12 +75,7 @@ def gillespie_simulate(g, eta0, horizon, replicas=1, seed=0, times=None,
             k = int(rng.choice(n, p=rates / total))
             eta[k] = 1 - eta[k]
             flips[r] += 1
-            # only k and its neighbors see a rate change
-            touched = np.flatnonzero(g.rates[k] != 0)
-            for j in touched:
-                row = g.rates[j].copy()
-                row[j] = 0.0
-                rates[j] = row[eta != eta[j]].sum()
+            rates = _voter_rates(g, eta)
     return {"times": times, "opinions": snaps, "flips": flips}
 
 
@@ -102,45 +90,32 @@ def two_point_functions(fields, pairs):
 
 
 def voter_vs_sbminf(g, initial, horizon, pairs, replicas=4000, seed=0,
-                    trotter_eps=0.02, experimental=False):
+                    trotter_eps=0.02):
     """Compare voter dynamics against both infinite-rate simulators at rho=-1.
 
-    For a {0,1} opinion start, returns one routes dict with per-pair
+    For a 0/1 opinion array, returns one routes dict with per-pair
     (mean, se) of E[U_t(x) U_t(y)] for the Gillespie voter, the Trotter
     scheme, the jump process, and the coalescing-walker dual, plus exactness
-    flags for the jump-process route (unit magnitudes throughout, rates equal
-    to the voter rates on sampled states).
-
-    A general boundary start with non-unit magnitudes is outside the proven
-    voter identification and is only accepted with experimental=True; the
-    voter and coalescing routes are then skipped.
+    flags for the jump-process route (unit magnitudes throughout, rates
+    equal to the voter rates on sampled states). Any other start is
+    rejected: the voter identification is proven for 0/1 starts only.
     """
-    if isinstance(initial, OpinionField):
-        eta0 = initial
-        start = eta0.as_pair()
-    elif (not isinstance(initial, BoundaryField)
-          and np.isin(np.asarray(initial), (0, 1)).all()):
-        eta0 = OpinionField(as_field(g, np.asarray(initial)))
-        start = eta0.as_pair()
-    else:
-        if not experimental:
-            raise ValueError("non-unit magnitudes need experimental=True: the "
-                             "voter identification is proven for 0/1 starts")
-        eta0 = None
-        start = initial if isinstance(initial, BoundaryField) else \
-            BoundaryField(*initial)
+    if isinstance(initial, BoundaryField):
+        raise ValueError("the voter identification is proven for 0/1 "
+                         "opinion starts only")
+    eta0 = OpinionField(as_field(g, np.asarray(initial)))
+    start = eta0.as_pair()
     results = {}
 
-    if eta0 is not None:
-        ssa = gillespie_simulate(g, eta0.eta, horizon, replicas=replicas,
-                                 seed=seed)
-        results["voter"] = two_point_functions(ssa["opinions"][:, -1, :], pairs)
-        dual = {}
-        for (x, y) in pairs:
-            dual[(x, y)] = coalescing_dual_estimate(
-                g, eta0.eta.astype(float), [x, y], horizon,
-                replicas=replicas, seed=seed)
-        results["coalescing"] = dual
+    ssa = gillespie_simulate(g, eta0.eta, horizon, replicas=replicas,
+                             seed=seed)
+    results["voter"] = two_point_functions(ssa["opinions"][:, -1, :], pairs)
+    dual = {}
+    for (x, y) in pairs:
+        dual[(x, y)] = coalescing_dual_estimate(
+            g, eta0.eta.astype(float), [x, y], horizon,
+            replicas=replicas, seed=seed)
+    results["coalescing"] = dual
 
     tr = trotter_simulate(g, -1.0, start, horizon, trotter_eps,
                           replicas=replicas, seed=seed)
@@ -150,12 +125,11 @@ def voter_vs_sbminf(g, initial, horizon, pairs, replicas=4000, seed=0,
                        replicas=replicas, seed=seed, record_events=True)
     results["pdmp"] = two_point_functions(pd["u"], pairs)
     upd, vpd = pd["u"], pd["v"]
-    if eta0 is not None:
-        results["pdmp_magnitudes_exact"] = bool(
-            np.all(upd + vpd == 1.0) and np.all(upd * vpd == 0.0)
-            and np.all(pd["zeroed_mass"] == 0.0)
-            and all(ev.magnitude == 1.0 for ev in pd["events"]))
-        results["pdmp_rates_exact"] = _rates_match_exactly(g, upd)
+    results["pdmp_magnitudes_exact"] = bool(
+        np.all(upd + vpd == 1.0) and np.all(upd * vpd == 0.0)
+        and np.all(pd["zeroed_mass"] == 0.0)
+        and all(ev.magnitude == 1.0 for ev in pd["events"]))
+    results["pdmp_rates_exact"] = _rates_match_exactly(g, upd)
     return results
 
 
@@ -165,7 +139,7 @@ def _rates_match_exactly(g, u_fields):
         state = BoundaryField(row, 1.0 - row)
         rates = intensity(g, state)
         eta = row.astype(np.int8)
-        expected = _all_flip_rates(g, eta)
+        expected = _voter_rates(g, eta)
         if not np.array_equal(rates, expected):
             return False
     return True

@@ -87,3 +87,21 @@ def test_numeric_fields_round_trip(d):
     cfg = config_from_dict(dict(d))
     back = config_from_dict(cfg.to_dict())
     assert back == cfg
+
+
+def test_initial_blocks():
+    from symbranch.experiments import initial_pair
+    g = build_graph({"kind": "torus", "d": 1, "L": 4})
+
+    def start(initial):
+        pair = initial_pair(ExperimentConfig(initial=initial), g)
+        return pair.u.tolist(), pair.v.tolist()
+
+    assert start({"u": [1, 2, 3, 4]}) == ([1, 2, 3, 4], [0, 0, 0, 0])
+    assert start({"v": [1, 2, 3, 4]}) == ([0, 0, 0, 0], [1, 2, 3, 4])
+    assert start({"eta": [1, 0, 0, 1]}) == ([1, 0, 0, 1], [0, 1, 1, 0])
+    assert start(None) == ([1, 1, 0, 0], [0, 0, 1, 1])
+    with pytest.raises(ValueError, match="eta"):
+        ExperimentConfig(initial={"eta": [1, 0, 0, 1], "u": [1, 0, 0, 1]})
+    with pytest.raises(ValueError, match="entries"):
+        start({"u": [1, 2, 3]})

@@ -10,13 +10,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from symbranch import rng as rngmod
-from symbranch.exitlaw import (AtomicExitLaw, BoundaryPoint, ExitLawParams,
-                               PoleValue, U_AXIS, V_AXIS, atomic_swap_measure,
+from symbranch.exitlaw import (AtomicExitLaw, ExitLawParams, PoleValue,
+                               U_AXIS, V_AXIS, atomic_swap_measure,
                                critical_exponent, exit_axis_mass_quadrature,
                                exit_axis_prob, exit_density_on_axis,
                                exit_magnitude_cdf, nu_density_on_axis,
-                               sample_exit, sample_exit_batch,
-                               sample_nu_trunc, truncate_nu)
+                               sample_exit_batch, sample_nu_trunc,
+                               truncate_nu)
 from symbranch.stats import ks_statistic, pooled_mean_se
 
 
@@ -53,20 +53,27 @@ def test_params_wedge_angle():
 # exit sampling: degenerate correlations and absorbed starts
 
 
+def _exit_one(params, start, rng):
+    """One exit draw from start, as a (u, v) pair of floats."""
+    uu, vv = sample_exit_batch(params, np.array([start[0]]),
+                               np.array([start[1]]), rng)
+    return float(uu[0]), float(vv[0])
+
+
 def test_absorbed_start_is_fixed():
     params = ExitLawParams(0.3)
     rng = rngmod.stream(0, "t-abs")
-    assert sample_exit(params, (0.0, 5.0), rng) == BoundaryPoint(V_AXIS, 5.0)
-    assert sample_exit(params, (2.0, 0.0), rng) == BoundaryPoint(U_AXIS, 2.0)
-    assert sample_exit(params, (0.0, 0.0), rng).magnitude == 0.0
+    assert _exit_one(params, (0.0, 5.0), rng) == (0.0, 5.0)
+    assert _exit_one(params, (2.0, 0.0), rng) == (2.0, 0.0)
+    assert _exit_one(params, (0.0, 0.0), rng) == (0.0, 0.0)
 
 
 def test_rho_one_deterministic():
     params = ExitLawParams(1.0)
     rng = rngmod.stream(1, "t-rho1")
-    assert sample_exit(params, (2.0, 0.5), rng) == BoundaryPoint(U_AXIS, 1.5)
-    assert sample_exit(params, (0.5, 2.0), rng) == BoundaryPoint(V_AXIS, 1.5)
-    assert sample_exit(params, (1.0, 1.0), rng).magnitude == 0.0
+    assert _exit_one(params, (2.0, 0.5), rng) == (1.5, 0.0)
+    assert _exit_one(params, (0.5, 2.0), rng) == (0.0, 1.5)
+    assert _exit_one(params, (1.0, 1.0), rng) == (0.0, 0.0)
 
 
 def test_rho_minus_one_two_atoms():
@@ -106,9 +113,9 @@ def test_batch_sampler_boundary_constraint():
 def test_exit_sample_always_on_boundary(rho, u0, v0, seed):
     params = ExitLawParams(rho)
     rng = rngmod.stream(seed, "t-hyp")
-    pt = sample_exit(params, (u0, v0), rng)
-    assert pt.axis in (U_AXIS, V_AXIS)
-    assert pt.magnitude >= 0.0
+    u, v = _exit_one(params, (u0, v0), rng)
+    assert u >= 0.0 and v >= 0.0
+    assert u * v == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +280,3 @@ def test_trunc_sampler_swap_branch_ks():
     d = ks_statistic(y, lambda r: np.asarray(r) ** p / (1 + np.asarray(r) ** p))
     assert d < 0.01
 
-
-def test_trunc_sampler_scalar():
-    meas = truncate_nu(0.0, 0.1)
-    pt = sample_nu_trunc(meas, rngmod.stream(9, "t-scalar"))
-    assert isinstance(pt, BoundaryPoint)
-    assert pt.magnitude > 0

@@ -101,6 +101,13 @@ def test_cli_unknown_experiment_exit_two():
     assert exc.value.code == 2
 
 
+def test_cli_voter_compare_is_gone():
+    # the voter-limit experiment is the one three-route comparison
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["voter", "compare"])
+    assert exc.value.code == 2
+
+
 def test_cli_exitlaw_validate(tmp_path, capsys):
     args = ["exitlaw", "validate", "--rho", "0.5", "--start", "1,1",
             "--samples", "4000", "--seed", "7", "--out", str(tmp_path)]
@@ -150,3 +157,88 @@ def test_cli_dual_moment(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["estimate"] > 0 and doc["se"] >= 0
     assert doc["replicas"] == 200
+
+
+def _run_cli_json(tmp_path, argv, cfg, name, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(cfg))
+    code = cli.main(argv + ["--config", str(cfgp), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    return json.loads((tmp_path / name).read_text())
+
+
+def _csv_header(path):
+    return path.read_text().splitlines()[0]
+
+
+_SMALL = {"rho": 0.0, "gamma": 1.0, "horizon": 0.3, "replicas": 32,
+          "seed": 2, "graph": {"kind": "torus", "d": 1, "L": 4}}
+_FIELDS_HEADER = "replica,time,site,u,v"
+_SBMINF_KEYS = {"config", "method", "mean_total_u", "se_total_u",
+                "mean_total_v", "se_total_v", "max_product"}
+
+
+def test_cli_sbminf_run_trotter(tmp_path, capsys):
+    cfg = dict(_SMALL, method="trotter", eps=0.1,
+               initial={"u": [1.0, 0.0, 0.5, 0.0], "v": [0.0, 0.8, 0.0, 0.3]})
+    doc = _run_cli_json(tmp_path, ["sbminf", "run"], cfg,
+                        "sbminf_summary.json", capsys)
+    assert set(doc) == _SBMINF_KEYS | {"effective_horizon"}
+    assert doc["max_product"] == 0.0
+    lines = (tmp_path / "sbminf_fields.csv").read_text().splitlines()
+    assert lines[0] == _FIELDS_HEADER
+    assert len(lines) == 1 + 32 * 4
+
+
+def test_cli_sbminf_run_pdmp(tmp_path, capsys):
+    cfg = dict(_SMALL, method="pdmp", trunc_eps=0.15,
+               initial={"u": [1.0, 0.0, 0.5, 0.0], "v": [0.0, 0.8, 0.0, 0.3]})
+    doc = _run_cli_json(tmp_path, ["sbminf", "run"], cfg,
+                        "sbminf_summary.json", capsys)
+    assert set(doc) == _SBMINF_KEYS | {"jumps_total", "swaps_total",
+                                       "violations_total",
+                                       "zeroed_mass_total"}
+    assert doc["jumps_total"] > 0
+    assert _csv_header(tmp_path / "sbminf_fields.csv") == _FIELDS_HEADER
+    assert _csv_header(tmp_path / "sbminf_diagnostics.csv") == \
+        "replica,n_jumps,n_swaps,violations,zeroed_mass"
+
+
+def test_cli_dual_coalesce(tmp_path, capsys):
+    cfg = dict(_SMALL, sites=[0, 2])
+    doc = _run_cli_json(tmp_path, ["dual", "coalesce"], cfg,
+                        "dual_coalesce.json", capsys)
+    assert set(doc) == {"config", "estimate", "se", "replicas", "sites"}
+    assert doc["sites"] == [0, 2] and 0.0 <= doc["estimate"] <= 1.0
+
+
+def test_cli_dual_selfdual(tmp_path, capsys):
+    cfg = dict(_SMALL, dt=0.01,
+               initial={"u": [1.0, 0.0, 0.5, 0.0], "v": [0.0, 0.8, 0.0, 0.5]},
+               initial_y={"u": [0.4, 0.0, 0.3, 0.0],
+                          "v": [0.0, 0.2, 0.0, 0.5]})
+    doc = _run_cli_json(tmp_path, ["dual", "selfdual"], cfg,
+                        "dual_selfdual.json", capsys)
+    assert set(doc) == {"config", "evolved_x", "evolved_y", "gap_re",
+                        "gap_im", "se_gap_re", "se_gap_im", "replicas",
+                        "aborted"}
+    assert doc["aborted"] == 0
+
+
+def test_cli_dual_selfdual_needs_initial_y(tmp_path, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(dict(_SMALL, dt=0.01)))
+    assert cli.main(["dual", "selfdual", "--config", str(cfgp)]) == 2
+    assert "initial_y" in capsys.readouterr().err
+
+
+def test_cli_voter_run(tmp_path, capsys):
+    cfg = dict(_SMALL, initial={"eta": [1, 1, 0, 0]}, times=[0.1, 0.3])
+    doc = _run_cli_json(tmp_path, ["voter", "run"], cfg,
+                        "voter_summary.json", capsys)
+    assert set(doc) == {"config", "mean_density", "consensus_fraction",
+                        "mean_flips"}
+    lines = (tmp_path / "voter_fields.csv").read_text().splitlines()
+    assert lines[0] == "replica,time,site,opinion"
+    assert len(lines) == 1 + 32 * 2 * 4

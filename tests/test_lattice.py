@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from symbranch.lattice import (SiteGraph, apply_generator, as_field,
-                               beta_pairing, build_dumbbell, build_torus,
-                               heat_semigroup)
+from symbranch.lattice import (SiteGraph, as_field, build_dumbbell,
+                               build_torus, heat_semigroup)
 
 
 def test_torus_structure():
@@ -41,14 +41,13 @@ def test_bad_graphs_rejected():
     with pytest.raises(ValueError):
         build_dumbbell(0.0)
     with pytest.raises(ValueError):
-        SiteGraph(rates=np.array([[0.0, 1.0], [2.0, -3.0]]),
-                  beta=np.ones(2))
+        SiteGraph(rates=np.array([[0.0, 1.0], [2.0, -3.0]]))
 
 
 def test_generator_constant_field_is_zero():
     g = build_torus(1, 6)
     f = np.full(6, 3.7)
-    assert np.allclose(apply_generator(g, f), 0.0)
+    assert np.allclose(f @ g.rates.T, 0.0)
 
 
 def test_heat_semigroup_properties():
@@ -72,15 +71,22 @@ def test_heat_semigroup_equilibrates():
     assert np.allclose(far, 0.2, atol=1e-10)
 
 
+@pytest.mark.parametrize("g", [build_dumbbell(0.5), build_torus(1, 4),
+                               build_torus(1, 8), build_torus(2, 8)],
+                         ids=lambda g: g.label)
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 0.02, 0.5])
+def test_heat_semigroup_is_transition_matrix(g, t):
+    # the spectral form leaves roundoff of either sign where exp(tA) ~ 0;
+    # entries must still be >= 0 for row sampling and mass transport
+    P = heat_semigroup(g, t)
+    assert np.all(P >= 0.0)
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(P - P.T)) <= 1e-12
+    assert np.max(np.abs(P - expm(t * g.rates))) <= 1e-12
+
+
 def test_as_field_shape_check():
     g = build_torus(1, 6)
     assert as_field(g, np.arange(6.0)).shape == (6,)
     with pytest.raises(ValueError):
         as_field(g, np.arange(5.0))
-
-
-def test_beta_pairing_positive_weights():
-    g = build_torus(1, 4)
-    f = np.array([1.0, 2.0, 3.0, 4.0])
-    assert beta_pairing(g, f) == pytest.approx(float(f @ g.beta))
-    assert np.all(g.beta > 0)

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from symbranch import rng as rngmod
 from symbranch.config import build_graph
 from symbranch.lattice import heat_semigroup
-from symbranch.sbm_finite import (MassObservables, PairField, SdeConfig,
-                                  default_dt, nonspatial_simulate,
-                                  realized_brackets, simulate, step_euler)
+from symbranch.sbm_finite import (PairField, SdeConfig, default_dt,
+                                  nonspatial_simulate, realized_brackets,
+                                  simulate)
 from symbranch.stats import pooled_mean_se
 
 
@@ -35,38 +34,40 @@ def test_pairfield_rejects_negative():
         PairField(np.array([-0.1, 1.0]), np.array([1.0, 1.0]))
 
 
+def _one_step(g, state, **kw):
+    """Fields after one simulate step from state, every site probed."""
+    cfg = _cfg(horizon=1e-3, replicas=1, **kw)
+    obs = simulate(g, cfg, state, probes=range(g.n_sites), times=[cfg.dt])
+    return cfg, obs.probe_u[0, -1], obs.probe_v[0, -1]
+
+
 def test_step_gamma_zero_is_heat(ring8):
     u = np.linspace(0.1, 1.7, 8)
     v = np.linspace(1.0, 0.2, 8)
-    state = PairField(u.copy(), v.copy())
-    cfg = _cfg(gamma=0.0)
-    out = step_euler(state, ring8, cfg, rngmod.stream(0, "t-heat"))
-    assert np.allclose(out.u, u + cfg.dt * (u @ ring8.rates.T), atol=1e-14)
-    assert np.allclose(out.v, v + cfg.dt * (v @ ring8.rates.T), atol=1e-14)
+    cfg, ou, ov = _one_step(ring8, PairField(u, v), gamma=0.0)
+    assert np.allclose(ou, u + cfg.dt * (u @ ring8.rates.T), atol=1e-14)
+    assert np.allclose(ov, v + cfg.dt * (v @ ring8.rates.T), atol=1e-14)
 
 
 def test_step_zero_field_stays_zero(ring8):
     state = PairField(np.zeros(8), np.full(8, 0.7))
-    out = step_euler(state, ring8, _cfg(), rngmod.stream(1, "t-zero"))
-    assert np.all(out.u == 0.0)
+    _, ou, _ = _one_step(ring8, state, seed=1)
+    assert np.all(ou == 0.0)
 
 
 def test_step_rho_one_keeps_equal_fields(ring8):
     w = np.linspace(0.2, 1.1, 8)
-    state = PairField(w.copy(), w.copy())
-    out = step_euler(state, ring8, _cfg(rho=1.0), rngmod.stream(2, "t-eq"))
-    assert np.array_equal(out.u, out.v)
+    _, ou, ov = _one_step(ring8, PairField(w, w), rho=1.0, seed=2)
+    assert np.array_equal(ou, ov)
 
 
 def test_step_rho_minus_one_sum_is_heat_step(ring8):
     u = np.array([1.0, 0.8, 0.6, 0.4, 0.2, 0.0, 0.3, 0.7])
     v = 1.0 - u
-    state = PairField(u.copy(), v.copy())
-    cfg = _cfg(rho=-1.0)
-    out = step_euler(state, ring8, cfg, rngmod.stream(3, "t-anti"))
+    cfg, ou, ov = _one_step(ring8, PairField(u, v), rho=-1.0, seed=3)
     s = u + v
     heat = s + cfg.dt * (s @ ring8.rates.T)
-    assert np.allclose(out.u + out.v, heat, atol=1e-12)
+    assert np.allclose(ou + ov, heat, atol=1e-12)
 
 
 def test_simulate_horizon_zero_returns_initial(ring8):

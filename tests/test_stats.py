@@ -6,8 +6,7 @@ from scipy import stats as sps
 
 from symbranch import rng as rngmod
 from symbranch.stats import (complex_mean_se, hill_exponent, ks_statistic,
-                             ks_two_sample, pooled_mean_se, quantile_se,
-                             tail_slope)
+                             ks_two_sample, pooled_mean_se, tail_slope)
 
 
 def test_pooled_mean_se_hand_case():
@@ -82,12 +81,6 @@ def test_tail_slope_accepts_censored_inf():
     x[x > np.quantile(x, 0.999)] = np.inf
     est = tail_slope(x)
     assert np.isfinite(est) and est > 0
-
-
-def test_quantile_se_positive():
-    rng = rngmod.stream(6, "qse")
-    se = quantile_se(rng.normal(size=5000), 0.99)
-    assert 0 < se < 0.2
 
 
 def test_streams_reproducible_and_distinct():

@@ -5,8 +5,9 @@ import pytest
 
 from symbranch.config import build_graph
 from symbranch.duals import coalescing_dual_estimate
-from symbranch.voter import (OpinionField, flip_rate, gillespie_simulate,
-                             two_point_functions, voter_vs_sbminf)
+from symbranch.voter import (OpinionField, _voter_rates,
+                             gillespie_simulate, two_point_functions,
+                             voter_vs_sbminf)
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +27,12 @@ def test_opinion_field_validation():
 def test_flip_rates(ring6):
     eta = np.array([1, 1, 0, 0, 0, 1])
     # ring rates 1/2: disagreeing neighbors of site 1 = {2}; of site 2 = {1}
-    assert flip_rate(ring6, eta, 1) == pytest.approx(0.5)
-    assert flip_rate(ring6, eta, 2) == pytest.approx(0.5)
-    assert flip_rate(ring6, eta, 4) == pytest.approx(0.5)
+    rates = _voter_rates(ring6, eta)
+    assert rates[1] == pytest.approx(0.5)
+    assert rates[2] == pytest.approx(0.5)
+    assert rates[4] == pytest.approx(0.5)
     # interior of a block never flips
-    assert flip_rate(ring6, np.array([1, 1, 1, 0, 0, 0]), 1) == 0.0
+    assert _voter_rates(ring6, np.array([1, 1, 1, 0, 0, 0]))[1] == 0.0
 
 
 def test_consensus_is_absorbing(ring6):
