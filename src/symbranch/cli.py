@@ -233,6 +233,9 @@ def _cmd_sbm_run(args):
 
 def _cmd_sbminf_run(args):
     cfg = _load_config(args, experiment="sbminf-run")
+    if cfg.method == "pdmp" and cfg.times:
+        raise ValueError("times: method pdmp records only the horizon; "
+                         "use method trotter for snapshots")
     g = build_graph(cfg.graph)
     pair = initial_pair(cfg, g)
     initial = BoundaryField(pair.u, pair.v)

@@ -46,6 +46,8 @@ class ExperimentConfig:
         if self.graph is None:
             self.graph = {"kind": "torus", "d": 1, "L": 8}
         validate_graph_spec(self.graph)
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError("dt must be > 0 (omit it for the default)")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.scheme not in ("euler", "split"):

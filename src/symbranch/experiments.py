@@ -203,7 +203,7 @@ def _run_exitlaw_validate(cfg):
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.9, -0.5, 0.0, 0.5, 0.9)
     n_ks = int(cfg.replicas)
     n_euler = min(n_ks, 10000)
-    dt = cfg.dt or 1e-4
+    dt = 1e-4 if cfg.dt is None else cfg.dt
 
     exp_table = []
     for rho, expect, tol in ((0.0, 2.0, 0.0), (1.0, 1.0, 0.0),
@@ -347,7 +347,7 @@ def _run_moment_curve(cfg):
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.5, 0.0, 0.5)
     n_mag = int(cfg.replicas)
     n_time = max(n_mag // 10, 1000)
-    dt = cfg.dt or 1e-2
+    dt = 1e-2 if cfg.dt is None else cfg.dt
     table = []
     for rho in grid:
         params = ExitLawParams(rho)

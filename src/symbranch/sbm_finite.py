@@ -238,6 +238,11 @@ def nonspatial_simulate(cfg, start, rng_tag="sbm-nonspatial"):
     Returns dict with terminal u, v, occupation gamma int u v ds, and an
     absorbed flag per replica. Absorption (one coordinate exactly 0) is final:
     the noise coefficient vanishes and there is no flow.
+
+    Stream layout (the artifacts depend on it): one rng.chunk_streams stream
+    per chunk of replicas; steps run in blocks of 2048, and each block draws
+    z1 then zperp, each of shape (rows alive at block start, steps in block).
+    Z2 = rho*z1 + sqrt(1-rho^2)*zperp is formed per step for live rows only.
     """
     u0, v0 = start
     R = cfg.replicas
@@ -245,41 +250,40 @@ def nonspatial_simulate(cfg, start, rng_tag="sbm-nonspatial"):
     out_u = np.full(R, float(u0))
     out_v = np.full(R, float(v0))
     occupation = np.zeros(R)
-    root = math.sqrt(1.0 - cfg.rho**2)
+    rho, root = cfg.rho, math.sqrt(1.0 - cfg.rho**2)
+    block = 2048
     for lo, hi, rng in rngmod.chunk_streams(cfg.seed, rng_tag, R):
-        m = hi - lo
-        u = np.full(m, float(u0))
-        v = np.full(m, float(v0))
-        occ = np.zeros(m)
+        u = out_u[lo:hi]
+        v = out_v[lo:hi]
+        occ = occupation[lo:hi]
         alive = np.flatnonzero((u > 0) & (v > 0))
-        block = 2048
         step = 0
         while alive.size and step < steps:
             k = min(block, steps - step)
             z1 = rng.standard_normal((alive.size, k))
             zp = rng.standard_normal((alive.size, k))
-            z2 = cfg.rho * z1 + root * zp
-            ua = u[alive]
-            va = v[alive]
-            occ_a = occ[alive]
-            done = np.zeros(alive.size, dtype=bool)
+            # dense state of the live rows; rows indexes them into the block
+            rows = np.arange(alive.size)
+            ua, va, occ_a = u[alive], v[alive], occ[alive]
             for j in range(k):
-                live = ~done
-                sig = np.sqrt(cfg.gamma * ua[live] * va[live] * cfg.dt)
-                occ_a[live] += cfg.gamma * ua[live] * va[live] * cfg.dt
-                ua[live] = np.maximum(ua[live] + sig * z1[live, j], 0.0)
-                va[live] = np.maximum(va[live] + sig * z2[live, j], 0.0)
-                done[live] |= (ua[live] <= 0) | (va[live] <= 0)
-                if done.all():
-                    break
-            u[alive] = ua
-            v[alive] = va
-            occ[alive] = occ_a
-            alive = alive[~done]
+                x = cfg.gamma * ua * va * cfg.dt
+                occ_a += x
+                sig = np.sqrt(x)
+                a = z1[rows, j]
+                ua = np.maximum(ua + sig * a, 0.0)
+                va = np.maximum(va + sig * (rho * a + root * zp[rows, j]), 0.0)
+                dead = (ua <= 0) | (va <= 0)
+                if dead.any():
+                    gone = alive[rows[dead]]
+                    u[gone], v[gone], occ[gone] = ua[dead], va[dead], occ_a[dead]
+                    keep = ~dead
+                    rows = rows[keep]
+                    ua, va, occ_a = ua[keep], va[keep], occ_a[keep]
+                    if not rows.size:
+                        break
+            alive = alive[rows]
+            u[alive], v[alive], occ[alive] = ua, va, occ_a
             step += k
-        out_u[lo:hi] = u
-        out_v[lo:hi] = v
-        occupation[lo:hi] = occ
     return {
         "u": out_u,
         "v": out_v,

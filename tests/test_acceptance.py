@@ -8,8 +8,12 @@ per criterion.
 
 import os
 
+import pytest
+
 from symbranch.experiments import (EXPERIMENTS, default_config,
                                    run_experiment, write_artifacts)
+
+pytestmark = pytest.mark.acceptance
 
 _CACHE = {}
 

@@ -51,6 +51,16 @@ def test_value_validation():
         ExperimentConfig(rho_grid=[0.0, 1.5])
 
 
+def test_dt_must_be_positive_when_set():
+    assert ExperimentConfig().dt is None
+    assert ExperimentConfig(dt=1e-3).dt == 1e-3
+    for bad in (0, 0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="dt"):
+            ExperimentConfig(dt=bad)
+    with pytest.raises(ValueError, match="dt"):
+        apply_overrides(ExperimentConfig(), ["dt=0"])
+
+
 def test_apply_overrides():
     cfg = ExperimentConfig()
     out = apply_overrides(cfg, ["gamma=2.5", "graph.L=6", "times=[0.1,0.2]",

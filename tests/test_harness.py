@@ -205,6 +205,23 @@ def test_cli_sbminf_run_pdmp(tmp_path, capsys):
         "replica,n_jumps,n_swaps,violations,zeroed_mass"
 
 
+def test_cli_sbminf_run_pdmp_rejects_times(tmp_path, capsys):
+    # the jump process records only the horizon, so times cannot be honoured
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(dict(_SMALL, method="pdmp", times=[0.1, 0.3])))
+    assert cli.main(["sbminf", "run", "--config", str(cfgp),
+                     "--out", str(tmp_path)]) == 2
+    assert "times" in capsys.readouterr().err
+    assert not (tmp_path / "sbminf_fields.csv").exists()
+
+
+def test_cli_dt_zero_is_config_error(capsys):
+    # dt=0 used to fall back to the default step in exitlaw-validate
+    assert cli.main(["exitlaw-validate", "--set", "dt=0", "--set",
+                     "replicas=300", "--set", "rho_grid=[-0.5]"]) == 2
+    assert "dt" in capsys.readouterr().err
+
+
 def test_cli_dual_coalesce(tmp_path, capsys):
     cfg = dict(_SMALL, sites=[0, 2])
     doc = _run_cli_json(tmp_path, ["dual", "coalesce"], cfg,

@@ -1,8 +1,13 @@
 """Finite-rate SDE stepping, mass martingales, brackets, time change."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symbranch import rng as rngmod
 from symbranch.config import build_graph
 from symbranch.lattice import heat_semigroup
 from symbranch.sbm_finite import (PairField, SdeConfig, default_dt,
@@ -164,3 +169,82 @@ def test_nonspatial_occupation_positive():
     out = nonspatial_simulate(cfg, (1.0, 1.0))
     assert np.all(out["occupation"] >= 0)
     assert out["occupation"].mean() > 0.1
+
+
+def _masked_reference(cfg, start):
+    """The boolean-mask loop nonspatial_simulate replaced, kept as its oracle:
+    same streams and draws, every block row masked until the block ends."""
+    R = cfg.replicas
+    steps = int(round(cfg.horizon / cfg.dt))
+    u = np.full(R, float(start[0]))
+    v = np.full(R, float(start[1]))
+    occ = np.zeros(R)
+    root = math.sqrt(1.0 - cfg.rho**2)
+    for lo, hi, rng in rngmod.chunk_streams(cfg.seed, "sbm-nonspatial", R):
+        alive = lo + np.flatnonzero((u[lo:hi] > 0) & (v[lo:hi] > 0))
+        step = 0
+        while alive.size and step < steps:
+            k = min(2048, steps - step)
+            z1 = rng.standard_normal((alive.size, k))
+            z2 = cfg.rho * z1 + root * rng.standard_normal((alive.size, k))
+            ua, va, occ_a = u[alive], v[alive], occ[alive]
+            done = np.zeros(alive.size, dtype=bool)
+            for j in range(k):
+                live = ~done
+                sig = np.sqrt(cfg.gamma * ua[live] * va[live] * cfg.dt)
+                occ_a[live] += cfg.gamma * ua[live] * va[live] * cfg.dt
+                ua[live] = np.maximum(ua[live] + sig * z1[live, j], 0.0)
+                va[live] = np.maximum(va[live] + sig * z2[live, j], 0.0)
+                done[live] |= (ua[live] <= 0) | (va[live] <= 0)
+                if done.all():
+                    break
+            u[alive], v[alive], occ[alive] = ua, va, occ_a
+            alive = alive[~done]
+            step += k
+    return u, v, occ
+
+
+# (replicas, gamma, dt, steps, start): two chunks at one step and at 20
+# steps from a start near the u axis (a quarter of the rows absorb in the
+# first step, a tenth survive 20); 2050 steps cross the 2048-step block with
+# rows absorbed before it and rows alive at the horizon; absorbed starts.
+_BIT_CASES = [(rngmod.CHUNK + 3, 1.0, 0.1, 1, (0.05, 1.0)),
+              (rngmod.CHUNK + 3, 1.0, 0.1, 20, (0.05, 1.0)),
+              (40, 0.5, 1e-3, 2050, (1.0, 0.5)),
+              (5, 1.0, 0.1, 3, (0.0, 2.0)),
+              (5, 1.0, 0.1, 3, (3.0, 0.0))]
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.7, 1.0])
+def test_nonspatial_bit_identical_to_masked_loop(rho):
+    for replicas, gamma, dt, steps, start in _BIT_CASES:
+        cfg = _cfg(rho=rho, gamma=gamma, dt=dt, horizon=dt * steps,
+                   replicas=replicas, seed=11)
+        out = nonspatial_simulate(cfg, start)
+        u, v, occ = _masked_reference(cfg, start)
+        assert np.array_equal(out["u"], u)
+        assert np.array_equal(out["v"], v)
+        assert np.array_equal(out["occupation"], occ)
+        assert np.array_equal(out["absorbed"], (u <= 0) | (v <= 0))
+        if start[0] * start[1] > 0:
+            assert 0 < out["absorbed"].sum() < replicas
+
+
+_MAGNITUDE = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+       u0=st.one_of(st.just(0.0), _MAGNITUDE),
+       v0=st.one_of(st.just(0.0), _MAGNITUDE),
+       seed=st.integers(0, 2**16))
+def test_nonspatial_properties(rho, u0, v0, seed):
+    cfg = _cfg(rho=rho, horizon=0.05, replicas=16, seed=seed)
+    out = nonspatial_simulate(cfg, (u0, v0))
+    for key in ("u", "v", "occupation"):
+        assert np.all(np.isfinite(out[key])) and np.all(out[key] >= 0)
+    assert np.array_equal(out["absorbed"], (out["u"] <= 0) | (out["v"] <= 0))
+    if u0 == 0.0 or v0 == 0.0:
+        assert np.all(out["u"] == u0) and np.all(out["v"] == v0)
+        assert np.all(out["occupation"] == 0.0)
+        assert out["absorbed"].all()
