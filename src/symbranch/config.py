@@ -7,9 +7,14 @@ cannot silently fall back to defaults.
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 from symbranch.lattice import build_dumbbell, build_torus
+
+_REAL_KEYS = ("gamma", "rho", "horizon", "dt", "eps", "trunc_eps",
+              "flow_substep")
+_INT_KEYS = ("replicas", "seed")
 
 _GRAPH_KEYS = {
     "torus": {"kind", "d", "L"},
@@ -46,6 +51,16 @@ class ExperimentConfig:
         if self.graph is None:
             self.graph = {"kind": "torus", "d": 1, "L": 8}
         validate_graph_spec(self.graph)
+        # type before value, so that a bad override is a config error and
+        # not a TypeError in a comparison; bool counts as neither type
+        for names, kind, what in ((_REAL_KEYS, numbers.Real, "a real number"),
+                                  (_INT_KEYS, numbers.Integral, "an integer")):
+            for name in names:
+                val = getattr(self, name)
+                if name == "dt" and val is None:
+                    continue
+                if isinstance(val, bool) or not isinstance(val, kind):
+                    raise ValueError(f"{name} must be {what}, got {val!r}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be > 0 (omit it for the default)")
         if self.replicas < 1:

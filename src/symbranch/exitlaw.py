@@ -82,14 +82,18 @@ class ExitLawParams:
         return math.cos(self.phi)
 
 
-def halfplane_image(params, u, v):
-    """Upper-half-plane image (z1, z2) of a quadrant point under the exit map."""
-    q = params.root1m2
+def _wedge_polar(params, u, v):
+    """Modulus R of the decorrelated point and argument ang of its half-plane
+    image: the image under the exit map is R^p (cos ang, sin ang)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    vt = (v - params.rho * u) / q
-    R = np.hypot(u, vt)
-    ang = params.p * (np.arctan2(vt, u) + params.phi)
+    vt = (v - params.rho * u) / params.root1m2
+    return np.hypot(u, vt), params.p * (np.arctan2(vt, u) + params.phi)
+
+
+def halfplane_image(params, u, v):
+    """Upper-half-plane image (z1, z2) of a quadrant point under the exit map."""
+    R, ang = _wedge_polar(params, u, v)
     Rp = R**params.p
     return Rp * np.cos(ang), Rp * np.sin(ang)
 
@@ -125,7 +129,6 @@ def exit_axis_mass_quadrature(params, start, axis):
     """Total mass of the implemented density on one axis, by adaptive
     quadrature over the magnitude. Summed over both axes this probes the
     normalization of the density-plus-Jacobian chain end to end."""
-    from scipy.integrate import quad
     val, _ = quad(lambda r: float(exit_density_on_axis(params, start, axis, r)),
                   0.0, np.inf, epsabs=1e-11, epsrel=1e-11, limit=400)
     return val
@@ -188,14 +191,14 @@ def sample_exit_batch(params, u, v, rng):
         u[sel], v[sel] = 0.0, tot[sel]
         return u, v
     if np.any(interior):
-        q = params.root1m2
-        z1, z2 = halfplane_image(params, u[interior], v[interior])
-        x = z1 + z2 * rng.standard_cauchy(z1.shape)
-        mag = q * np.abs(x) ** (1.0 / params.p)
-        uu = np.where(x >= 0, mag, 0.0)
-        vv = np.where(x >= 0, 0.0, mag)
-        u[interior] = uu
-        v[interior] = vv
+        # the exit point is Cauchy(z1, z2) = R^p y on the real axis, pulled
+        # back to magnitude q |R^p y|^(1/p) = q R |y|^(1/p); R^p itself
+        # overflows or underflows as rho -> -1, where p -> inf
+        R, ang = _wedge_polar(params, u[interior], v[interior])
+        y = np.cos(ang) + np.sin(ang) * rng.standard_cauchy(R.shape)
+        mag = params.root1m2 * R * np.abs(y) ** (1.0 / params.p)
+        u[interior] = np.where(y >= 0, mag, 0.0)
+        v[interior] = np.where(y >= 0, 0.0, mag)
     return u, v
 
 
@@ -375,59 +378,75 @@ def sample_nu_trunc(measure, rng, size):
 
 
 # ---------------------------------------------------------------------------
-# brute-force Euler oracle: correlated Brownian pair run to absorption
+# brute-force oracle: correlated Brownian pair run to absorption
 # ---------------------------------------------------------------------------
 
-def euler_exit_oracle(rho, start, dt, n, rng, horizon, block=512):
-    """Simulate n correlated Brownian pairs to absorption by plain Euler steps.
+# adaptive step h = min(max(_STEP_SCALE * min(u, v)^2, dt), _STEP_MAX): a step
+# of that size from distance a crosses the nearer axis with probability
+# 2 Phi(-1/sqrt(_STEP_SCALE)) ~ 1.5e-12, so exits happen on the dt floor
+_STEP_SCALE = 0.02
+_STEP_MAX = 1.0
 
-    Independent of the conformal sampler: increments are raw correlated
-    normals, absorption is detected by sign crossing on the dt-grid. Paths not
-    absorbed by the horizon are flagged censored. Returns a dict with fields
-    on_u_axis (bool), magnitude, exit_time, censored.
+
+def euler_exit_oracle(rho, start, dt, n, rng, horizon):
+    """Simulate n correlated Brownian pairs to absorption by exact Gaussian
+    steps with a Brownian-bridge crossing test.
+
+    Independent of the conformal sampler: it uses neither the half-plane map
+    nor the Cauchy law. Each live path steps by
+    h = min(max(0.02 min(u, v)^2, dt), 1, horizon - t), so dt is the finest
+    step, taken near an axis, and paths far from both axes take large steps.
+    The increment sqrt(h) (z1, rho z1 + sqrt(1 - rho^2) z2) is exact for any
+    h. A coordinate going from a > 0 to b within a step has crossed zero when
+    b <= 0, or else with the bridge probability exp(-2 a b / h), which is
+    exact for each coordinate given its endpoints. An exit is recorded at the
+    end of its step, with the other coordinate's endpoint (positive, since it
+    did not cross) as the magnitude; when both coordinates cross, the exit
+    lands at the origin. Each iteration draws a (2, live) block of normals
+    then one of uniforms. Paths not absorbed by the horizon are flagged
+    censored. Returns a dict with fields on_u_axis (bool), magnitude,
+    exit_time, censored.
     """
     q = math.sqrt(1.0 - rho * rho)
     u0, v0 = start
-    u = np.full(n, float(u0))
-    v = np.full(n, float(v0))
     exit_time = np.full(n, np.nan)
     magnitude = np.zeros(n)
     on_u_axis = np.zeros(n, dtype=bool)
-    alive = np.arange(n)
-    done_on_e = (u <= 0) | (v <= 0)
-    if np.any(done_on_e):
-        exit_time[done_on_e] = 0.0
-        magnitude[done_on_e] = np.maximum(u[done_on_e], v[done_on_e])
-        on_u_axis[done_on_e] = u[done_on_e] > 0
-        alive = alive[~done_on_e]
-    sdt = math.sqrt(dt)
-    steps_total = int(round(horizon / dt))
-    step = 0
-    while alive.size and step < steps_total:
-        k = min(block, steps_total - step)
-        z1 = rng.standard_normal((alive.size, k))
-        z2 = rho * z1 + q * rng.standard_normal((alive.size, k))
-        pu = u[alive, None] + sdt * np.cumsum(z1, axis=1)
-        pv = v[alive, None] + sdt * np.cumsum(z2, axis=1)
-        hit = (pu <= 0) | (pv <= 0)
-        any_hit = hit.any(axis=1)
-        if np.any(any_hit):
-            rows = np.flatnonzero(any_hit)
-            first = np.argmax(hit[rows], axis=1)
-            idx = alive[rows]
-            exit_time[idx] = (step + first + 1) * dt
-            uu = pu[rows, first]
-            vv = pv[rows, first]
-            # the coordinate that crossed is set to zero; simultaneous
-            # crossings (measure ~ dt) land at the origin
-            exitU = uu > 0
-            magnitude[idx] = np.where(exitU, uu, np.maximum(vv, 0.0))
-            on_u_axis[idx] = exitU
-        survive = ~any_hit
-        u[alive[survive]] = pu[survive, -1]
-        v[alive[survive]] = pv[survive, -1]
-        alive = alive[survive]
-        step += k
+    interior = u0 > 0 and v0 > 0
+    if not interior:
+        exit_time[:] = 0.0
+        magnitude[:] = max(u0, v0)
+        on_u_axis[:] = u0 > 0
+    # compacted state of the live paths; rows indexes them into the outputs
+    rows = np.arange(n if interior else 0)
+    u = np.full(rows.size, float(u0))
+    v = np.full(rows.size, float(v0))
+    t = np.zeros(rows.size)
+    while rows.size:
+        rem = horizon - t
+        h = np.minimum(np.minimum(
+            np.maximum(_STEP_SCALE * np.minimum(u, v) ** 2, dt), _STEP_MAX),
+            rem)
+        z = rng.standard_normal((2, rows.size))
+        w = rng.random((2, rows.size))
+        sh = np.sqrt(h)
+        nu = u + sh * z[0]
+        nv = v + sh * (rho * z[0] + q * z[1])
+        # w < 1 always, so an endpoint b <= 0 (exp(0) = 1) counts as crossed
+        g = -2.0 / h
+        cu = w[0] < np.exp(g * u * np.maximum(nu, 0.0))
+        cv = w[1] < np.exp(g * v * np.maximum(nv, 0.0))
+        t = np.where(h < rem, t + h, horizon)
+        hit = cu | cv
+        keep = ~hit & (t < horizon)
+        if np.any(hit):
+            idx = rows[hit]
+            exit_time[idx] = t[hit]
+            magnitude[idx] = np.where(cu, np.where(cv, 0.0, nv), nu)[hit]
+            on_u_axis[idx] = (cv & ~cu)[hit]
+        u, v = nu, nv
+        if not keep.all():
+            rows, u, v, t = rows[keep], u[keep], v[keep], t[keep]
     return {
         "on_u_axis": on_u_axis,
         "magnitude": magnitude,

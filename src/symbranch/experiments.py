@@ -14,6 +14,7 @@ import os
 import time
 
 import numpy as np
+from scipy.integrate import quad
 
 from symbranch import rng as rngmod
 from symbranch.config import ExperimentConfig, build_graph
@@ -267,7 +268,6 @@ def _run_exitlaw_validate(cfg):
     for rho in grid:
         if abs(rho) == 1.0:
             continue
-        from scipy.integrate import quad
         m, _ = quad(lambda y: y * nu_density_on_axis(rho, V_AXIS, y),
                     0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
         moment_table.append((rho, m))
@@ -313,7 +313,6 @@ def _run_exitlaw_validate(cfg):
 
 def _scaling_identity_gap(rho, a, f, table, fname):
     """Max branch-wise gap in int f dnu_(a,0) = (1/a) int f(a y) dnu."""
-    from scipy.integrate import quad
     gaps = []
     # swap branch: finite on (0, inf)
     lhs, _ = quad(lambda y: f(y) * nu_density_on_axis(rho, V_AXIS, y, a=a),

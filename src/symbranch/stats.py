@@ -76,13 +76,16 @@ def complex_mean_se(values):
 def tail_slope(samples, q_lo=0.90, q_hi=0.995, n_grid=40):
     """Tail exponent from the log-log slope of the empirical survival function.
 
-    Fits -d log S / d log t between the q_lo and q_hi sample quantiles. Valid
-    under right-censoring as long as q_hi falls below the censoring point:
-    survival estimates at t below the horizon do not depend on values beyond it.
+    Fits -d log S / d log t between the q_lo and q_hi sample quantiles.
+    Censored samples are +inf. Survival estimates at t below the censoring
+    point do not depend on values beyond it, so when more than 1 - q_hi of the
+    samples are censored the window ends at the largest observed value.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    t_lo, t_hi = np.quantile(x, [q_lo, q_hi])
+    # capping only changes quantiles that would fall among the censored
+    observed_max = np.max(x[np.isfinite(x)], initial=0.0)
+    t_lo, t_hi = np.quantile(np.minimum(x, observed_max), [q_lo, q_hi])
     if not 0 < t_lo < t_hi:
         raise ValueError("degenerate quantile window")
     grid = np.geomspace(t_lo, t_hi, n_grid)

@@ -61,6 +61,23 @@ def test_dt_must_be_positive_when_set():
         apply_overrides(ExperimentConfig(), ["dt=0"])
 
 
+def test_numeric_keys_are_type_checked():
+    # a --set value that is not JSON stays a string; bool is an int subclass
+    for key in ("gamma", "rho", "horizon", "dt", "eps", "trunc_eps",
+                "flow_substep"):
+        for bad in ("abc", True, [1.0]):
+            with pytest.raises(ValueError, match=f"^{key} must be a real"):
+                ExperimentConfig(**{key: bad})
+    for key in ("replicas", "seed"):
+        for bad in ("abc", False, 2.0):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+                ExperimentConfig(**{key: bad})
+    cfg = ExperimentConfig(gamma=2, rho=np.float64(0.5), replicas=np.int64(5))
+    assert cfg.replicas == 5
+    with pytest.raises(ValueError, match="dt"):
+        apply_overrides(ExperimentConfig(), ["dt=abc"])
+
+
 def test_apply_overrides():
     cfg = ExperimentConfig()
     out = apply_overrides(cfg, ["gamma=2.5", "graph.L=6", "times=[0.1,0.2]",

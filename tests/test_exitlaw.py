@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -12,7 +12,8 @@ from scipy.optimize import brentq
 from symbranch import rng as rngmod
 from symbranch.exitlaw import (AtomicExitLaw, ExitLawParams, PoleValue,
                                U_AXIS, V_AXIS, atomic_swap_measure,
-                               critical_exponent, exit_axis_mass_quadrature,
+                               critical_exponent, euler_exit_oracle,
+                               exit_axis_mass_quadrature,
                                exit_axis_prob, exit_density_on_axis,
                                exit_magnitude_cdf, nu_density_on_axis,
                                sample_exit_batch, sample_nu_trunc,
@@ -107,15 +108,85 @@ def test_batch_sampler_boundary_constraint():
     assert np.all((uu >= 0) & (vv >= 0))
 
 
-@settings(max_examples=25, deadline=None)
-@given(rho=st.floats(-0.95, 0.95), u0=st.floats(0.1, 5.0),
-       v0=st.floats(0.1, 5.0), seed=st.integers(0, 2**31))
+# correlations with both ends sampled, and start coordinates on an axis or
+# of magnitude 1e-12 to 1e12
+_RHOS = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-0.9999, 0.9999))
+_COORDS = st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=_RHOS, u0=_COORDS, v0=_COORDS, seed=st.integers(0, 2**31))
+@example(rho=-0.999, u0=1e6, v0=2e6, seed=0)
+@example(rho=-0.999, u0=1e-12, v0=2e-12, seed=0)
 def test_exit_sample_always_on_boundary(rho, u0, v0, seed):
+    # p = pi / (pi/2 + asin rho) is 70 at rho = -0.999, where R^p of the
+    # half-plane image overflows (NaN exits) or underflows (zero magnitudes)
     params = ExitLawParams(rho)
     rng = rngmod.stream(seed, "t-hyp")
-    u, v = _exit_one(params, (u0, v0), rng)
-    assert u >= 0.0 and v >= 0.0
-    assert u * v == 0.0
+    uu, vv = sample_exit_batch(params, np.full(64, u0), np.full(64, v0), rng)
+    assert np.all(np.isfinite(uu) & np.isfinite(vv))
+    assert np.all((uu >= 0.0) & (vv >= 0.0))
+    assert np.all(uu * vv == 0.0)
+    if u0 > 0 and v0 > 0 and rho < 1.0:
+        # only perfectly correlated pairs exit at the origin
+        assert np.all(np.maximum(uu, vv) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exit oracle: closed forms that do not use the conformal map
+
+
+def _z(hat, p, n):
+    """Standard score of a sample frequency hat against its law p."""
+    return (hat - p) / math.sqrt(p * (1.0 - p) / n)
+
+
+def test_oracle_rho0_survival_and_side():
+    # at rho = 0 the coordinates are independent Brownian motions from 1, so
+    # P(tau > t) = P(both stay positive up to t) = erf(1/sqrt(2t))^2, and by
+    # symmetry the exit side is fair; without the bridge test the missed
+    # crossings push the survival well above these values
+    n = 50000
+    out = euler_exit_oracle(0.0, (1.0, 1.0), 1e-3, n,
+                            rngmod.stream(0, "t-oracle-rho0"), horizon=10.0)
+    tau = np.where(out["censored"], np.inf, out["exit_time"])
+    for t in (0.3, 1.0, 5.0):
+        p = math.erf(1.0 / math.sqrt(2.0 * t)) ** 2
+        assert abs(_z((tau > t).mean(), p, n)) < 4, t
+    exited = ~out["censored"]
+    assert abs(_z(out["on_u_axis"][exited].mean(), 0.5, exited.sum())) < 4
+
+
+def test_oracle_rho_minus_one_gamblers_ruin():
+    # at rho = -1, u + v = 4 is conserved: the pair exits on the U axis when
+    # v reaches 0 first, with probability u0 / (u0 + v0) = 1/4, and the
+    # magnitude misses 4 only by the crossing coordinate's last step
+    n, dt = 20000, 1e-3
+    out = euler_exit_oracle(-1.0, (1.0, 3.0), dt, n,
+                            rngmod.stream(0, "t-oracle-rhom1"), horizon=100.0)
+    assert not out["censored"].any()
+    assert abs(_z(out["on_u_axis"].mean(), 0.25, n)) < 4
+    assert np.max(np.abs(out["magnitude"] - 4.0)) < 8 * math.sqrt(dt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=_RHOS, u0=_COORDS, v0=_COORDS, seed=st.integers(0, 2**31))
+def test_oracle_properties(rho, u0, v0, seed):
+    horizon = 2.0
+    out = euler_exit_oracle(rho, (u0, v0), 1e-3, 64,
+                            rngmod.stream(seed, "t-oracle-hyp"),
+                            horizon=horizon)
+    censored = out["censored"]
+    assert np.array_equal(censored, np.isnan(out["exit_time"]))
+    t = out["exit_time"][~censored]
+    mag = out["magnitude"][~censored]
+    assert np.all(np.isfinite(t) & (t >= 0.0) & (t <= horizon))
+    assert np.all(np.isfinite(mag) & (mag >= 0.0))
+    if not (u0 > 0 and v0 > 0):
+        assert not censored.any()
+        assert np.all(out["exit_time"] == 0.0)
+        assert np.all(out["magnitude"] == max(u0, v0))
+        assert np.all(out["on_u_axis"] == (u0 > 0))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,14 @@ def test_cli_dt_zero_is_config_error(capsys):
     assert "dt" in capsys.readouterr().err
 
 
+def test_cli_non_numeric_set_is_config_error(capsys):
+    # exit 1 is the criterion-FAIL code, so a bad value must not reach a
+    # comparison and raise a TypeError there
+    for raw in ("dt=abc", "replicas=abc"):
+        assert cli.main(["trotter-refine", "--set", raw]) == 2
+        assert raw.split("=")[0] in capsys.readouterr().err
+
+
 def test_cli_dual_coalesce(tmp_path, capsys):
     cfg = dict(_SMALL, sites=[0, 2])
     doc = _run_cli_json(tmp_path, ["dual", "coalesce"], cfg,

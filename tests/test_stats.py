@@ -83,6 +83,19 @@ def test_tail_slope_accepts_censored_inf():
     assert np.isfinite(est) and est > 0
 
 
+def test_tail_slope_window_ends_below_censoring():
+    # 1 % censored, more than 1 - q_hi: the window ends at the last observed
+    # value instead of at a quantile among the censored samples
+    rng = rngmod.stream(6, "slope-cens")
+    x = rng.pareto(2.0, size=100000) + 1.0
+    x[x > np.quantile(x, 0.99)] = np.inf
+    est = tail_slope(x)
+    assert abs(est - 2.0) / 2.0 < 0.10
+    x[x > np.quantile(x, 0.85)] = np.inf  # the whole window is censored
+    with pytest.raises(ValueError, match="degenerate"):
+        tail_slope(x)
+
+
 def test_streams_reproducible_and_distinct():
     a1 = rngmod.stream(7, "tag-a").standard_normal(8)
     a2 = rngmod.stream(7, "tag-a").standard_normal(8)
