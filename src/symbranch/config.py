@@ -7,6 +7,7 @@ cannot silently fall back to defaults.
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -61,6 +62,8 @@ class ExperimentConfig:
                     continue
                 if isinstance(val, bool) or not isinstance(val, kind):
                     raise ValueError(f"{name} must be {what}, got {val!r}")
+                if not math.isfinite(val):
+                    raise ValueError(f"{name} must be finite, got {val!r}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be > 0 (omit it for the default)")
         if self.replicas < 1:

@@ -91,11 +91,12 @@ def _wedge_polar(params, u, v):
     return np.hypot(u, vt), params.p * (np.arctan2(vt, u) + params.phi)
 
 
-def halfplane_image(params, u, v):
-    """Upper-half-plane image (z1, z2) of a quadrant point under the exit map."""
+def _unit_image(params, u, v):
+    """Modulus R of the decorrelated point and its half-plane image in units
+    of R^p, (cos ang, sin ang). The exit law is scale-invariant, and R^p
+    itself overflows or underflows as rho -> -1, where p -> inf."""
     R, ang = _wedge_polar(params, u, v)
-    Rp = R**params.p
-    return Rp * np.cos(ang), Rp * np.sin(ang)
+    return float(R), math.cos(ang), math.sin(ang)
 
 
 def exit_density_on_axis(params, start, axis, r):
@@ -105,12 +106,12 @@ def exit_density_on_axis(params, start, axis, r):
         raise AtomicExitLaw(f"start {start!r} is already absorbed: the law is atomic")
     if abs(params.rho) == 1:
         raise AtomicExitLaw("|rho| = 1: the exit law is atomic")
-    q = params.root1m2
     p = params.p
-    z1, z2 = halfplane_image(params, u, v)
-    r = np.asarray(r, dtype=float)
-    s = (r / q) ** p
-    jac = (p / q) * (r / q) ** (p - 1.0)
+    R, z1, z2 = _unit_image(params, u, v)
+    scale = params.root1m2 * R
+    t = np.asarray(r, dtype=float) / scale
+    s = t**p
+    jac = (p / scale) * t ** (p - 1.0)
     shift = s - z1 if axis == U_AXIS else s + z1
     return (z2 / (np.pi * (z2**2 + shift**2))) * jac
 
@@ -119,7 +120,7 @@ def exit_axis_prob(params, start, axis=U_AXIS):
     """Probability that the pair exits through the given axis."""
     u, v = start
     if u > 0 and v > 0 and abs(params.rho) < 1:
-        z1, z2 = halfplane_image(params, u, v)
+        _, z1, z2 = _unit_image(params, u, v)
         pU = 0.5 + math.atan2(z1, z2) / math.pi  # Cauchy(z1, z2) mass on (0, inf)
         return pU if axis == U_AXIS else 1.0 - pU
     raise AtomicExitLaw("axis probability via density requires an interior start")
@@ -139,16 +140,14 @@ def exit_magnitude_cdf(params, start, axis, r_eval):
 
     Returns the conditional CDF of the exit magnitude given the axis, evaluated
     at r_eval, by trapezoidal integration of the implemented density on a dense
-    grid in the substituted variable s = (r/q)^p (where the integrand is a
+    grid in the substituted variable s = (r/(qR))^p (where the integrand is a
     bounded rational function). Grid refinement is added around the integrand's
     peak so narrow Cauchy ridges are resolved.
     """
     u, v = start
-    q = params.root1m2
-    p = params.p
-    z1, z2 = halfplane_image(params, u, v)
+    R, z1, z2 = _unit_image(params, u, v)
     r_eval = np.atleast_1d(np.asarray(r_eval, dtype=float))
-    s_eval = (r_eval / q) ** p
+    s_eval = (r_eval / (params.root1m2 * R)) ** params.p
     s_max = max(s_eval.max() * 1.0001, (abs(z1) + 50 * z2) * 1.01, 1e-6)
     base = np.geomspace(s_max * 1e-14, s_max, 300_001)
     lo, hi = z1 - 40 * z2, z1 + 40 * z2

@@ -3,14 +3,25 @@
 State is a nonnegative pair field (u, v). Per site and step, with independent
 standard normals Z1, Zperp and Z2 = rho*Z1 + sqrt(1-rho^2)*Zperp:
 
-    u' = u + Au dt + sqrt(gamma u+ v+ dt) Z1
-    v' = v + Av dt + sqrt(gamma u+ v+ dt) Z2
+    u' = u + Au dt + sqrt(gamma u v dt) Z1
+    v' = v + Av dt + sqrt(gamma u v dt) Z2
 
 then both are clamped to >= 0 (full truncation; the clamped values feed the
-next square root). Total masses <u,1>, <v,1> are martingales whose quadratic
-variations both equal gamma int <u_s, v_s> ds and whose cross-variation is rho
-times that; the simulator accumulates the realized versions online so bracket
-ratios can be checked against rho without storing full trajectories.
+next square root). The split scheme replaces u + Au dt by the exact heat flow
+P_dt u. Total masses <u,1>, <v,1> are martingales whose quadratic variations
+both equal gamma int <u_s, v_s> ds and whose cross-variation is rho times
+that; the simulator accumulates the realized versions online, so bracket
+ratios can be checked against rho without storing full trajectories. It can
+also record the total masses on an equal-clock grid of gamma int <u,v> ds,
+where they should behave like a correlated Brownian pair (time change).
+
+`simulate` holds each chunk of replicas site-major, as (n, m) arrays: the
+generator acts as A @ u, and the per-replica sums over sites (pair product,
+totals, clamp counts) are reductions over axis 0. The normals are still drawn
+as (m, n) blocks, one stream per chunk, and read through their transposes:
+on the 2-site dumbbell every output bit matches a replica-major loop over the
+same draws (the reference in the tests), and with more sites only the order
+of the sums over sites differs.
 """
 
 import math
@@ -55,14 +66,15 @@ class SdeConfig:
     scheme: str = "euler"  # euler | split (exact heat flow, then noise)
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("branching rate must be >= 0")
-        if abs(self.rho) > 1:
+        # written so that NaN fails every check
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("branching rate must be finite and >= 0")
+        if not abs(self.rho) <= 1:
             raise ValueError("correlation must lie in [-1, 1]")
         if self.dt is None:
             self.dt = default_dt(self.gamma)
-        if self.dt <= 0 or self.horizon < 0:
-            raise ValueError("need dt > 0 and horizon >= 0")
+        if not (0 < self.dt < math.inf and 0 <= self.horizon < math.inf):
+            raise ValueError("need finite dt > 0 and horizon >= 0")
         if self.scheme not in ("euler", "split"):
             raise ValueError("scheme must be 'euler' or 'split'")
         if self.gamma > 0 and self.dt > 0.1 / self.gamma:
@@ -90,30 +102,6 @@ class MassObservables:
     clock_masses: tuple = None         # (tot_u, tot_v) at clock-grid crossings
 
 
-def _step_batch(u, v, A, gamma, rho, dt, z1, zperp, clamp_count, heat=None):
-    """One Euler (or split) step on (R, n) arrays, in place; returns new arrays."""
-    if heat is None:
-        du = u @ A.T * dt
-        dv = v @ A.T * dt
-        u_flow = u + du
-        v_flow = v + dv
-    else:
-        u_flow = u @ heat.T
-        v_flow = v @ heat.T
-    if gamma > 0:
-        sig = np.sqrt(gamma * np.maximum(u, 0.0) * np.maximum(v, 0.0) * dt)
-        z2 = rho * z1 + math.sqrt(1.0 - rho * rho) * zperp
-        un = u_flow + sig * z1
-        vn = v_flow + sig * z2
-    else:
-        un, vn = u_flow, v_flow
-    neg = (un < 0).sum(axis=1) + (vn < 0).sum(axis=1)
-    clamp_count += neg
-    np.maximum(un, 0.0, out=un)
-    np.maximum(vn, 0.0, out=vn)
-    return un, vn
-
-
 def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
              max_crossings=64, rng_tag="sbm-finite"):
     """Run cfg.replicas Euler trajectories; returns MassObservables.
@@ -122,6 +110,20 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
     grid). clock_grid: optionally record total masses each of the first
     max_crossings times the realized clock gamma int <u,v> ds crosses a
     multiple of clock_grid (time-change checks). Deterministic given cfg.seed.
+
+    Layout: each chunk of m replicas is held site-major, as (n, m) arrays, so
+    the generator step is A @ u (split: P_dt @ u) and the pair product, the
+    totals and the clamp counts are reductions over the site axis.
+
+    Stream layout (the outputs depend on it): one rng.chunk_streams stream per
+    chunk; each step draws z1 then zperp, each of shape (m, n), and the step
+    reads their transposes.
+
+    Aborts are detected from the totals: the fields are clamped >= 0, so a NaN
+    or inf at any site makes <u,1> + <v,1> non-finite. Such a replica is
+    flagged in `aborted`, its fields and totals are zeroed, and from that step
+    on it adds nothing to the clock or the brackets. Finite fields whose total
+    overflows to inf count as an abort too.
     """
     n = g.n_sites
     u0 = as_field(g, initial.u)
@@ -131,7 +133,10 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
     probes = np.asarray(probes if probes is not None else [], dtype=int)
     times = np.asarray(times if times is not None else [], dtype=float)
     rec_steps = np.unique(np.clip(np.round(times / cfg.dt).astype(int), 0, steps))
+    rec_pos = {int(s): i for i, s in enumerate(rec_steps)}
     heat = heat_semigroup(g, cfg.dt) if cfg.scheme == "split" else None
+    A, gamma, rho, dt = g.rates, cfg.gamma, cfg.rho, cfg.dt
+    root = math.sqrt(1.0 - rho * rho)
 
     obs = MassObservables(
         total_u=np.empty(R), total_v=np.empty(R), clock=np.zeros(R),
@@ -149,41 +154,79 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
 
     for lo, hi, rng in rngmod.chunk_streams(cfg.seed, rng_tag, R):
         m = hi - lo
-        u = np.tile(u0, (m, 1))
-        v = np.tile(v0, (m, 1))
+        u = np.repeat(u0[:, None], m, axis=1)
+        v = np.repeat(v0[:, None], m, axis=1)
         clamp = np.zeros(m, dtype=np.int64)
         clock = np.zeros(m)
         quad_u = np.zeros(m)
         quad_v = np.zeros(m)
         cross = np.zeros(m)
         ok = np.ones(m, dtype=bool)
-        tot_u = u.sum(axis=1)
-        tot_v = v.sum(axis=1)
+        tot_u = u.sum(axis=0)
+        tot_v = v.sum(axis=0)
         next_cross = np.full(m, clock_grid) if clock_grid else None
         crossings = np.zeros(m, dtype=int) if clock_grid else None
-        rec_pos = {int(s): i for i, s in enumerate(rec_steps)}
         if 0 in rec_pos and probes.size:
-            obs.probe_u[lo:hi, rec_pos[0], :] = u[:, probes]
-            obs.probe_v[lo:hi, rec_pos[0], :] = v[:, probes]
+            obs.probe_u[lo:hi, rec_pos[0], :] = u[probes].T
+            obs.probe_v[lo:hi, rec_pos[0], :] = v[probes].T
+        # per-chunk buffers: one for the (m, n) draws, and site-major ones
+        # for their transposes, the next state and scratch
+        draw = np.empty((m, n))
+        z1 = np.empty((n, m))
+        zperp = np.empty((n, m))
+        un = np.empty((n, m))
+        vn = np.empty((n, m))
+        tmp = np.empty((n, m))
+        neg = np.empty((n, m), dtype=bool)
         for step in range(1, steps + 1):
-            pair = np.einsum("ij,ij->i", u, v)
-            z1 = rng.standard_normal((m, n))
-            zperp = rng.standard_normal((m, n))
-            u, v = _step_batch(u, v, g.rates, cfg.gamma, cfg.rho, cfg.dt,
-                               z1, zperp, clamp, heat)
-            bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1))
-            if np.any(bad & ok):
+            pair = np.multiply(u, v, out=tmp).sum(axis=0)
+            np.copyto(z1, rng.standard_normal(out=draw).T)
+            np.copyto(zperp, rng.standard_normal(out=draw).T)
+            if heat is None:
+                np.matmul(A, u, out=un)
+                np.matmul(A, v, out=vn)
+                un *= dt
+                vn *= dt
+                un += u
+                vn += v
+            else:
+                np.matmul(heat, u, out=un)
+                np.matmul(heat, v, out=vn)
+            if gamma > 0:
+                # sig = sqrt(gamma u v dt), in place of the old state's u
+                sig = np.multiply(u, gamma, out=u)
+                sig *= v
+                sig *= dt
+                np.sqrt(sig, out=sig)
+                un += np.multiply(sig, z1, out=tmp)
+                np.multiply(z1, rho, out=tmp)
+                zperp *= root
+                tmp += zperp
+                tmp *= sig
+                vn += tmp
+            for w in (un, vn):
+                if np.less(w, 0.0, out=neg).any():
+                    clamp += neg.sum(axis=0)
+                    np.maximum(w, 0.0, out=w)
+            u, un = un, u
+            v, vn = vn, v
+            new_tu = u.sum(axis=0)
+            new_tv = v.sum(axis=0)
+            du_t = new_tu - tot_u
+            dv_t = new_tv - tot_v
+            bad = ~np.isfinite(new_tu + new_tv)
+            if bad.any():
+                # an aborted column is zero from here on, so later steps add
+                # exactly 0 to its brackets and clock
                 ok &= ~bad
-                u[bad] = 0.0
-                v[bad] = 0.0
-            new_tu = u.sum(axis=1)
-            new_tv = v.sum(axis=1)
-            du_t = np.where(ok, new_tu - tot_u, 0.0)
-            dv_t = np.where(ok, new_tv - tot_v, 0.0)
+                for w in (u, v):
+                    w[:, bad] = 0.0
+                for w in (new_tu, new_tv, du_t, dv_t, pair):
+                    w[bad] = 0.0
             quad_u += du_t**2
             quad_v += dv_t**2
             cross += du_t * dv_t
-            clock += np.where(ok, cfg.gamma * pair * cfg.dt, 0.0)
+            clock += gamma * pair * dt
             tot_u, tot_v = new_tu, new_tv
             if clock_grid:
                 crossed = ok & (clock >= next_cross) & (crossings < n_clock)
@@ -195,8 +238,8 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
                     next_cross[idx] += clock_grid
                     crossed = ok & (clock >= next_cross) & (crossings < n_clock)
             if step in rec_pos and probes.size:
-                obs.probe_u[lo:hi, rec_pos[step], :] = u[:, probes]
-                obs.probe_v[lo:hi, rec_pos[step], :] = v[:, probes]
+                obs.probe_u[lo:hi, rec_pos[step], :] = u[probes].T
+                obs.probe_v[lo:hi, rec_pos[step], :] = v[probes].T
         obs.total_u[lo:hi] = tot_u
         obs.total_v[lo:hi] = tot_v
         obs.clock[lo:hi] = clock

@@ -78,6 +78,18 @@ def test_numeric_keys_are_type_checked():
         apply_overrides(ExperimentConfig(), ["dt=abc"])
 
 
+def test_real_keys_must_be_finite():
+    # NaN compares False both ways, so it would slip past a range check
+    for key in ("gamma", "rho", "horizon", "dt", "eps", "trunc_eps",
+                "flow_substep"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                ExperimentConfig(**{key: bad})
+    for raw in ("gamma=NaN", "rho=NaN", "horizon=Infinity"):
+        with pytest.raises(ValueError, match=raw.split("=")[0]):
+            apply_overrides(ExperimentConfig(), [raw])
+
+
 def test_apply_overrides():
     cfg = ExperimentConfig()
     out = apply_overrides(cfg, ["gamma=2.5", "graph.L=6", "times=[0.1,0.2]",

@@ -209,6 +209,30 @@ def test_density_atomic_cases_raise():
         exit_density_on_axis(ExitLawParams(0.3), (0.0, 2.0), V_AXIS, 1.0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(-0.999, 0.999),
+       c=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+       ratio=st.floats(0.1, 10.0), w=st.floats(0.2, 5.0))
+@example(rho=-0.999, c=1e6, ratio=2.0, w=2.5)  # R**p overflowed here
+def test_exit_law_scale_invariance(rho, c, ratio, w):
+    # the exit point from c x is c times the exit point from x: axis
+    # probabilities agree, densities scale by 1/c and CDFs agree, to 1e-9
+    params = ExitLawParams(rho)
+    x, cx = (1.0, ratio), (c, c * ratio)
+    r = w * math.hypot(*x)
+    pu = exit_axis_prob(params, x, U_AXIS)
+    assert exit_axis_prob(params, cx, U_AXIS) == pytest.approx(pu, rel=1e-9)
+    for axis in (U_AXIS, V_AXIS):
+        f = exit_density_on_axis(params, x, axis, r)
+        fc = exit_density_on_axis(params, cx, axis, c * r)
+        assert np.isfinite(f) and f >= 0
+        assert c * fc == pytest.approx(f, rel=1e-9, abs=1e-300)
+        F = exit_magnitude_cdf(params, x, axis, r)
+        Fc = exit_magnitude_cdf(params, cx, axis, c * r)
+        assert 0.0 <= F <= 1.0
+        assert Fc == pytest.approx(F, rel=1e-9, abs=1e-15)
+
+
 def test_sampler_matches_cdf():
     params = ExitLawParams(0.0)
     start = (1.0, 1.0)

@@ -230,6 +230,14 @@ def test_cli_non_numeric_set_is_config_error(capsys):
         assert raw.split("=")[0] in capsys.readouterr().err
 
 
+def test_cli_non_finite_set_is_config_error(capsys):
+    # NaN gamma used to switch the noise off, NaN rho wrote NaN FAIL rows
+    # and an infinite horizon raised OverflowError
+    for raw in ("gamma=NaN", "rho=NaN", "horizon=Infinity"):
+        assert cli.main(["duality-self", "--set", raw]) == 2
+        assert raw.split("=")[0] in capsys.readouterr().err
+
+
 def test_cli_dual_coalesce(tmp_path, capsys):
     cfg = dict(_SMALL, sites=[0, 2])
     doc = _run_cli_json(tmp_path, ["dual", "coalesce"], cfg,

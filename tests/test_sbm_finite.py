@@ -21,6 +21,9 @@ def ring8():
     return build_graph({"kind": "torus", "d": 1, "L": 8})
 
 
+_MAGNITUDE = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+
+
 def _cfg(**kw):
     base = dict(gamma=1.0, rho=0.0, horizon=0.1, dt=1e-3, replicas=4,
                 seed=0)
@@ -32,6 +35,15 @@ def test_default_dt():
     assert default_dt(1.0) == pytest.approx(1e-3)
     assert default_dt(10.0) == pytest.approx(1e-4)
     assert default_dt(0.1) == pytest.approx(1e-3)
+
+
+def test_sde_config_rejects_non_finite():
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"gamma": nan}, {"gamma": inf}, {"rho": nan},
+                {"horizon": nan}, {"horizon": inf}, {"dt": nan},
+                {"dt": inf}):
+        with pytest.raises(ValueError):
+            _cfg(**bad)
 
 
 def test_pairfield_rejects_negative():
@@ -156,6 +168,183 @@ def test_time_change_clock_grid(ring8):
     assert corr == pytest.approx(rho, abs=0.10 * abs(rho) + 0.02)
 
 
+def _row_major_reference(g, cfg, initial, probes, times, clock_grid=None,
+                         max_crossings=64):
+    """The replica-major loop simulate replaced, kept as its oracle: (m, n)
+    arrays per chunk, the same streams and draws, aborts found site by site."""
+    n, R = g.n_sites, cfg.replicas
+    steps = int(round(cfg.horizon / cfg.dt))
+    probes = np.asarray(probes, dtype=int)
+    rec = np.unique(np.clip(np.round(np.asarray(times) / cfg.dt).astype(int),
+                            0, steps))
+    heat = heat_semigroup(g, cfg.dt) if cfg.scheme == "split" else None
+    root = math.sqrt(1.0 - cfg.rho * cfg.rho)
+    out = {k: np.zeros(R) for k in ("total_u", "total_v", "clock", "quad_u",
+                                     "quad_v", "cross")}
+    out["clamp_count"] = np.zeros(R, dtype=np.int64)
+    out["aborted"] = np.zeros(R, dtype=bool)
+    out["probe_u"] = np.full((R, rec.size, probes.size), np.nan)
+    out["probe_v"] = np.full((R, rec.size, probes.size), np.nan)
+    n_clock = max_crossings if clock_grid else 0
+    cm_u = np.full((R, n_clock), np.nan)
+    cm_v = np.full((R, n_clock), np.nan)
+    for lo, hi, rng in rngmod.chunk_streams(cfg.seed, "sbm-finite", R):
+        m = hi - lo
+        u = np.tile(np.asarray(initial.u, dtype=float), (m, 1))
+        v = np.tile(np.asarray(initial.v, dtype=float), (m, 1))
+        acc = {k: np.zeros(m) for k in ("clock", "quad_u", "quad_v", "cross")}
+        clamp = np.zeros(m, dtype=np.int64)
+        ok = np.ones(m, dtype=bool)
+        tot_u, tot_v = u.sum(axis=1), v.sum(axis=1)
+        next_cross = np.full(m, clock_grid)
+        crossings = np.zeros(m, dtype=int)
+        for step in range(steps + 1):
+            if step:
+                pair = np.einsum("ij,ij->i", u, v)
+                z1 = rng.standard_normal((m, n))
+                zperp = rng.standard_normal((m, n))
+                if heat is None:
+                    un = u + u @ g.rates.T * cfg.dt
+                    vn = v + v @ g.rates.T * cfg.dt
+                else:
+                    un, vn = u @ heat.T, v @ heat.T
+                if cfg.gamma > 0:
+                    sig = np.sqrt(cfg.gamma * np.maximum(u, 0.0)
+                                  * np.maximum(v, 0.0) * cfg.dt)
+                    un = un + sig * z1
+                    vn = vn + sig * (cfg.rho * z1 + root * zperp)
+                clamp += (un < 0).sum(axis=1) + (vn < 0).sum(axis=1)
+                u, v = np.maximum(un, 0.0), np.maximum(vn, 0.0)
+                bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1))
+                ok &= ~bad
+                u[bad] = 0.0
+                v[bad] = 0.0
+                du = np.where(ok, u.sum(axis=1) - tot_u, 0.0)
+                dv = np.where(ok, v.sum(axis=1) - tot_v, 0.0)
+                acc["quad_u"] += du**2
+                acc["quad_v"] += dv**2
+                acc["cross"] += du * dv
+                acc["clock"] += np.where(ok, cfg.gamma * pair * cfg.dt, 0.0)
+                tot_u, tot_v = u.sum(axis=1), v.sum(axis=1)
+                while clock_grid:
+                    hit = np.flatnonzero(ok & (acc["clock"] >= next_cross)
+                                         & (crossings < n_clock))
+                    if not hit.size:
+                        break
+                    cm_u[lo + hit, crossings[hit]] = tot_u[hit]
+                    cm_v[lo + hit, crossings[hit]] = tot_v[hit]
+                    crossings[hit] += 1
+                    next_cross[hit] += clock_grid
+            if step in rec and probes.size:
+                j = int(np.searchsorted(rec, step))
+                out["probe_u"][lo:hi, j] = u[:, probes]
+                out["probe_v"][lo:hi, j] = v[:, probes]
+        out["total_u"][lo:hi], out["total_v"][lo:hi] = tot_u, tot_v
+        for k, a in acc.items():
+            out[k][lo:hi] = a
+        out["clamp_count"][lo:hi] = clamp
+        out["aborted"][lo:hi] = ~ok
+    if clock_grid:
+        out["cm_u"], out["cm_v"] = cm_u, cm_v
+    return out
+
+
+_FIELDS = ("total_u", "total_v", "clock", "quad_u", "quad_v", "cross",
+           "clamp_count", "aborted", "probe_u", "probe_v")
+
+
+@pytest.mark.parametrize("scheme", ["euler", "split"])
+@pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 1.0])
+def test_simulate_bit_identical_to_row_major_on_dumbbell(rho, scheme):
+    # two chunks, a start with empty sites (so clamps fire), probes at t = 0
+    g = build_graph({"kind": "dumbbell"})
+    init = PairField([1.0, 0.0], [0.0, 1.0])
+    cfg = _cfg(gamma=5.0, rho=rho, dt=0.01, horizon=0.2, scheme=scheme,
+               replicas=rngmod.CHUNK + 3, seed=12)
+    kw = dict(probes=[0, 1], times=[0.0, 0.05, 0.2])
+    obs = simulate(g, cfg, init, clock_grid=0.01, max_crossings=8, **kw)
+    ref = _row_major_reference(g, cfg, init, clock_grid=0.01, max_crossings=8,
+                               **kw)
+    assert obs.clamp_count.sum() > 0
+    for key in _FIELDS:
+        assert np.array_equal(getattr(obs, key), ref[key], equal_nan=True), key
+    assert np.array_equal(obs.clock_masses[0], ref["cm_u"], equal_nan=True)
+    assert np.array_equal(obs.clock_masses[1], ref["cm_v"], equal_nan=True)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "split"])
+def test_simulate_matches_row_major_on_torus(ring8, scheme):
+    # sums over 8 sites run in another order: 1e-12 relative, on the scale
+    # sqrt(quad_u quad_v) for the cross bracket, which can be near 0
+    init = PairField(np.linspace(0.0, 1.0, 8), np.linspace(1.0, 0.1, 8))
+    cfg = _cfg(gamma=2.0, rho=0.3, horizon=0.1, scheme=scheme,
+               replicas=rngmod.CHUNK + 3, seed=13)
+    kw = dict(probes=[0, 5], times=[0.0, 0.1])
+    obs = simulate(ring8, cfg, init, **kw)
+    ref = _row_major_reference(ring8, cfg, init, **kw)
+    assert np.array_equal(obs.clamp_count, ref["clamp_count"])
+    assert np.array_equal(obs.aborted, ref["aborted"])
+    scale = {"cross": np.sqrt(ref["quad_u"] * ref["quad_v"])}
+    for key in _FIELDS[:6] + _FIELDS[8:]:
+        err = np.abs(getattr(obs, key) - ref[key])
+        assert np.all(err <= 1e-12 * scale.get(key, np.abs(ref[key]))), key
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_simulate_abort_matches_row_major(rho):
+    # u v overflows where the mass sits, at site 0 on the first step and at
+    # site 1 on the second; a replica aborts when its noise there is positive
+    g = build_graph({"kind": "dumbbell"})
+    init = PairField([1e200, 1.0], [1e200, 1.0])
+    cfg = _cfg(rho=rho, horizon=0.002, replicas=256, seed=14)
+    kw = dict(probes=[1], times=[0.001, 0.002])
+    with np.errstate(over="ignore", invalid="ignore"):
+        obs = simulate(g, cfg, init, **kw)
+        ref = _row_major_reference(g, cfg, init, **kw)
+    assert 0 < obs.aborted.sum() < cfg.replicas
+    for key in _FIELDS:
+        assert np.array_equal(getattr(obs, key), ref[key], equal_nan=True), key
+    assert np.all(obs.total_u[obs.aborted] == 0.0)
+    assert np.all(obs.total_v[obs.aborted] == 0.0)
+
+
+def test_simulate_total_overflow_is_an_abort():
+    # finite fields whose total overflows: an abort, unlike the row-major loop
+    g = build_graph({"kind": "dumbbell"})
+    init = PairField([1e308, 1e308], [1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        obs = simulate(g, _cfg(gamma=0.0, horizon=0.002, replicas=3), init)
+    assert obs.aborted.all()
+    assert np.all(obs.total_u == 0.0) and np.all(obs.quad_u == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+       u0=st.one_of(st.just(0.0), _MAGNITUDE),
+       v0=st.one_of(st.just(0.0), _MAGNITUDE),
+       seed=st.integers(0, 2**16))
+def test_simulate_properties(ring8, rho, u0, v0, seed):
+    shape = np.linspace(0.5, 1.5, 8)
+    probes = list(range(8))
+    cfg = _cfg(rho=rho, horizon=0.05, replicas=16, seed=seed)
+    obs = simulate(ring8, cfg, PairField(u0 * shape, v0 * shape),
+                   probes=probes, times=[0.02, 0.05])
+    assert not obs.aborted.any()
+    for key in _FIELDS[:6] + _FIELDS[8:]:
+        assert np.all(np.isfinite(getattr(obs, key))), key
+        if key != "cross":
+            assert np.all(getattr(obs, key) >= 0), key
+    if u0 == 0.0:
+        assert np.all(obs.probe_u == 0.0) and np.all(obs.total_u == 0.0)
+        for key in ("clock", "quad_u", "cross"):
+            assert np.all(getattr(obs, key) == 0.0), key
+    if rho == 1.0 and u0 == v0:
+        obs = simulate(ring8, cfg, PairField(u0 * shape, u0 * shape),
+                       probes=probes, times=[0.02, 0.05])
+        assert np.array_equal(obs.probe_u, obs.probe_v)
+        assert np.array_equal(obs.total_u, obs.total_v)
+
+
 def test_nonspatial_absorbed_start_is_fixed():
     cfg = _cfg(gamma=2.0, horizon=1.0, replicas=32)
     out = nonspatial_simulate(cfg, (0.0, 5.0))
@@ -228,9 +417,6 @@ def test_nonspatial_bit_identical_to_masked_loop(rho):
         assert np.array_equal(out["absorbed"], (u <= 0) | (v <= 0))
         if start[0] * start[1] > 0:
             assert 0 < out["absorbed"].sum() < replicas
-
-
-_MAGNITUDE = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=40, deadline=None)
