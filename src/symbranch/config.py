@@ -34,7 +34,6 @@ class ExperimentConfig:
     eps: float = 0.1          # Trotter step
     trunc_eps: float = 0.1    # jump-measure truncation
     flow_substep: float = 0.01
-    scheme: str = "euler"     # finite-rate stepping: euler | split
     method: str = "trotter"   # infinite-rate simulator: trotter | pdmp
     replicas: int = 1000
     seed: int = 0
@@ -68,8 +67,6 @@ class ExperimentConfig:
             raise ValueError("dt must be > 0 (omit it for the default)")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.scheme not in ("euler", "split"):
-            raise ValueError("scheme must be 'euler' or 'split'")
         if self.method not in ("trotter", "pdmp"):
             raise ValueError("method must be 'trotter' or 'pdmp'")
         if self.rho_grid is not None:

@@ -42,14 +42,11 @@ class ColoredParticleSystem:
     Colors: 1 marks a u-factor, 2 a v-factor. Budgets are per unordered pair,
     persist across separations (memorylessness makes the decremented budget
     exact), and are redrawn for every pair involving a recolored particle.
-    color_dynamics=False freezes colors (no recoloring events) while still
-    accumulating the collision clocks.
     """
 
-    def __init__(self, g, gamma, sites, colors, rng, color_dynamics=True):
+    def __init__(self, g, gamma, sites, colors, rng):
         self.g = g
         self.gamma = gamma
-        self.color_dynamics = color_dynamics
         self.pos = list(int(s) for s in sites)
         self.col = list(int(c) for c in colors)
         if any(c not in (1, 2) for c in self.col):
@@ -84,7 +81,7 @@ class ColoredParticleSystem:
             rates = np.array([diag[p] for p in self.pos])
             total_jump = rates.sum()
             same, opp = self._active_pairs()
-            if self.gamma > 0 and same and self.color_dynamics:
+            if self.gamma > 0 and same:
                 budgets = [self._pair_budget(p) for p in same]
                 i_min = int(np.argmin(budgets))
                 dt_flip = budgets[i_min]
@@ -122,8 +119,7 @@ class ColoredParticleSystem:
 
 
 def moment_dual_estimate(g, gamma, rho, initial, u_sites, v_sites, t,
-                         replicas=10000, seed=0, color_dynamics=True,
-                         rng_tag="moment-dual"):
+                         replicas=10000, seed=0, rng_tag="moment-dual"):
     """Dual-route estimate of E[prod u_t(k) prod v_t(k)] with standard error.
 
     initial is the start pair (u0, v0) of the forward process (a PairField or
@@ -144,8 +140,7 @@ def moment_dual_estimate(g, gamma, rho, initial, u_sites, v_sites, t,
     vals = np.empty(replicas)
     for r in range(replicas):
         rng = rngmod.stream(seed, rng_tag, r)
-        sys_ = ColoredParticleSystem(g, gamma, sites, colors, rng,
-                                     color_dynamics=color_dynamics)
+        sys_ = ColoredParticleSystem(g, gamma, sites, colors, rng)
         sys_.run(t)
         vals[r] = sys_.weight(u0, v0, rho)
     mean = float(vals.mean())

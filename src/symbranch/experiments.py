@@ -174,8 +174,7 @@ def initial_pair(cfg, g, default=None, field="initial"):
 def sde_config(cfg, **overrides):
     """The SdeConfig of an experiment config; dt None means default_dt(gamma)."""
     kwargs = dict(gamma=cfg.gamma, rho=cfg.rho, horizon=cfg.horizon,
-                  dt=cfg.dt, replicas=cfg.replicas, seed=cfg.seed,
-                  scheme=cfg.scheme)
+                  dt=cfg.dt, replicas=cfg.replicas, seed=cfg.seed)
     kwargs.update(overrides)
     return SdeConfig(**kwargs)
 

@@ -7,13 +7,10 @@ standard normals Z1, Zperp and Z2 = rho*Z1 + sqrt(1-rho^2)*Zperp:
     v' = v + Av dt + sqrt(gamma u v dt) Z2
 
 then both are clamped to >= 0 (full truncation; the clamped values feed the
-next square root). The split scheme replaces u + Au dt by the exact heat flow
-P_dt u. Total masses <u,1>, <v,1> are martingales whose quadratic variations
-both equal gamma int <u_s, v_s> ds and whose cross-variation is rho times
-that; the simulator accumulates the realized versions online, so bracket
-ratios can be checked against rho without storing full trajectories. It can
-also record the total masses on an equal-clock grid of gamma int <u,v> ds,
-where they should behave like a correlated Brownian pair (time change).
+next square root). Total masses <u,1>, <v,1> are martingales whose quadratic
+variations both equal gamma int <u_s, v_s> ds and whose cross-variation is
+rho times that; the simulator accumulates the realized versions online, so
+bracket ratios can be checked against rho without storing full trajectories.
 
 `simulate` holds each chunk of replicas site-major, as (n, m) arrays: the
 generator acts as A @ u, and the per-replica sums over sites (pair product,
@@ -26,12 +23,12 @@ of the sums over sites differs.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from symbranch import rng as rngmod
-from symbranch.lattice import as_field, heat_semigroup
+from symbranch.lattice import as_field
 
 
 @dataclass
@@ -63,7 +60,6 @@ class SdeConfig:
     dt: float = None
     replicas: int = 1
     seed: int = 0
-    scheme: str = "euler"  # euler | split (exact heat flow, then noise)
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -75,8 +71,6 @@ class SdeConfig:
             self.dt = default_dt(self.gamma)
         if not (0 < self.dt < math.inf and 0 <= self.horizon < math.inf):
             raise ValueError("need finite dt > 0 and horizon >= 0")
-        if self.scheme not in ("euler", "split"):
-            raise ValueError("scheme must be 'euler' or 'split'")
         if self.gamma > 0 and self.dt > 0.1 / self.gamma:
             warnings.warn(f"dt={self.dt} exceeds 0.1/gamma={0.1 / self.gamma}: "
                           "per-step noise may dominate state scale")
@@ -98,32 +92,28 @@ class MassObservables:
     probe_sites: np.ndarray = None
     probe_u: np.ndarray = None         # (R, n_times, n_probes)
     probe_v: np.ndarray = None
-    clock_grid: float = None
-    clock_masses: tuple = None         # (tot_u, tot_v) at clock-grid crossings
 
 
-def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
-             max_crossings=64, rng_tag="sbm-finite"):
+def simulate(g, cfg, initial, probes=None, times=None, rng_tag="sbm-finite"):
     """Run cfg.replicas Euler trajectories; returns MassObservables.
 
     probes/times: record u, v at the given sites and times (snapped to the step
-    grid). clock_grid: optionally record total masses each of the first
-    max_crossings times the realized clock gamma int <u,v> ds crosses a
-    multiple of clock_grid (time-change checks). Deterministic given cfg.seed.
+    grid). Deterministic given cfg.seed.
 
     Layout: each chunk of m replicas is held site-major, as (n, m) arrays, so
-    the generator step is A @ u (split: P_dt @ u) and the pair product, the
-    totals and the clamp counts are reductions over the site axis.
+    the generator step is A @ u and the pair product, the totals and the clamp
+    counts are reductions over the site axis.
 
     Stream layout (the outputs depend on it): one rng.chunk_streams stream per
     chunk; each step draws z1 then zperp, each of shape (m, n), and the step
     reads their transposes.
 
-    Aborts are detected from the totals: the fields are clamped >= 0, so a NaN
-    or inf at any site makes <u,1> + <v,1> non-finite. Such a replica is
-    flagged in `aborted`, its fields and totals are zeroed, and from that step
-    on it adds nothing to the clock or the brackets. Finite fields whose total
-    overflows to inf count as an abort too.
+    Aborts are detected from the totals and the pair product: the fields are
+    clamped >= 0, so a NaN or inf at any site makes <u,1> + <v,1> non-finite.
+    Finite fields whose total, or whose <u,v> (the clock increment), overflows
+    to inf count as an abort too. Such a replica is flagged in `aborted`, its
+    fields and totals are zeroed, and from that step on it adds nothing to the
+    clock or the brackets.
     """
     n = g.n_sites
     u0 = as_field(g, initial.u)
@@ -134,7 +124,6 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
     times = np.asarray(times if times is not None else [], dtype=float)
     rec_steps = np.unique(np.clip(np.round(times / cfg.dt).astype(int), 0, steps))
     rec_pos = {int(s): i for i, s in enumerate(rec_steps)}
-    heat = heat_semigroup(g, cfg.dt) if cfg.scheme == "split" else None
     A, gamma, rho, dt = g.rates, cfg.gamma, cfg.rho, cfg.dt
     root = math.sqrt(1.0 - rho * rho)
 
@@ -146,11 +135,7 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
         times=rec_steps * cfg.dt, probe_sites=probes,
         probe_u=np.full((R, rec_steps.size, probes.size), np.nan),
         probe_v=np.full((R, rec_steps.size, probes.size), np.nan),
-        clock_grid=clock_grid,
     )
-    n_clock = int(max_crossings) if clock_grid else 0
-    cm_u = np.full((R, n_clock), np.nan) if clock_grid else None
-    cm_v = np.full((R, n_clock), np.nan) if clock_grid else None
 
     for lo, hi, rng in rngmod.chunk_streams(cfg.seed, rng_tag, R):
         m = hi - lo
@@ -164,8 +149,6 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
         ok = np.ones(m, dtype=bool)
         tot_u = u.sum(axis=0)
         tot_v = v.sum(axis=0)
-        next_cross = np.full(m, clock_grid) if clock_grid else None
-        crossings = np.zeros(m, dtype=int) if clock_grid else None
         if 0 in rec_pos and probes.size:
             obs.probe_u[lo:hi, rec_pos[0], :] = u[probes].T
             obs.probe_v[lo:hi, rec_pos[0], :] = v[probes].T
@@ -182,16 +165,12 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
             pair = np.multiply(u, v, out=tmp).sum(axis=0)
             np.copyto(z1, rng.standard_normal(out=draw).T)
             np.copyto(zperp, rng.standard_normal(out=draw).T)
-            if heat is None:
-                np.matmul(A, u, out=un)
-                np.matmul(A, v, out=vn)
-                un *= dt
-                vn *= dt
-                un += u
-                vn += v
-            else:
-                np.matmul(heat, u, out=un)
-                np.matmul(heat, v, out=vn)
+            np.matmul(A, u, out=un)
+            np.matmul(A, v, out=vn)
+            un *= dt
+            vn *= dt
+            un += u
+            vn += v
             if gamma > 0:
                 # sig = sqrt(gamma u v dt), in place of the old state's u
                 sig = np.multiply(u, gamma, out=u)
@@ -214,7 +193,7 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
             new_tv = v.sum(axis=0)
             du_t = new_tu - tot_u
             dv_t = new_tv - tot_v
-            bad = ~np.isfinite(new_tu + new_tv)
+            bad = ~np.isfinite(new_tu + new_tv + pair)
             if bad.any():
                 # an aborted column is zero from here on, so later steps add
                 # exactly 0 to its brackets and clock
@@ -228,15 +207,6 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
             cross += du_t * dv_t
             clock += gamma * pair * dt
             tot_u, tot_v = new_tu, new_tv
-            if clock_grid:
-                crossed = ok & (clock >= next_cross) & (crossings < n_clock)
-                while np.any(crossed):
-                    idx = np.flatnonzero(crossed)
-                    cm_u[lo + idx, crossings[idx]] = tot_u[idx]
-                    cm_v[lo + idx, crossings[idx]] = tot_v[idx]
-                    crossings[idx] += 1
-                    next_cross[idx] += clock_grid
-                    crossed = ok & (clock >= next_cross) & (crossings < n_clock)
             if step in rec_pos and probes.size:
                 obs.probe_u[lo:hi, rec_pos[step], :] = u[probes].T
                 obs.probe_v[lo:hi, rec_pos[step], :] = v[probes].T
@@ -248,8 +218,6 @@ def simulate(g, cfg, initial, probes=None, times=None, clock_grid=None,
         obs.cross[lo:hi] = cross
         obs.clamp_count[lo:hi] = clamp
         obs.aborted[lo:hi] = ~ok
-    if clock_grid:
-        obs.clock_masses = (cm_u, cm_v)
     return obs
 
 

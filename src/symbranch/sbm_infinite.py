@@ -283,8 +283,7 @@ def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
 
 
 def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
-                  measure=None, flow_substep=1e-2, record_events=False,
-                  rng_tag="pdmp"):
+                  flow_substep=1e-2, record_events=False, rng_tag="pdmp"):
     """Jump-process trajectories with truncation eps; returns fields and
     diagnostics (jump/swap counts, majorant violations, projected mass).
 
@@ -293,11 +292,9 @@ def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     its own clock and substep cap: the cap starts at flow_substep, halves
     after a substep with a majorant violation and regrows by 1.1x, up to
     flow_substep, after one whose thinning candidates all stayed under it.
-    A prebuilt TruncatedJumpMeasure can be passed to skip the truncation
-    solve; record_events collects the JumpEvent list of replica 0 only.
+    record_events collects the JumpEvent list of replica 0 only.
     """
-    if measure is None:
-        measure = truncate_nu(rho, eps)
+    measure = truncate_nu(rho, eps)
     n = g.n_sites
     u0 = as_field(g, np.asarray(initial.u, dtype=float))
     v0 = as_field(g, np.asarray(initial.v, dtype=float))

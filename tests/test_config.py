@@ -12,7 +12,7 @@ from symbranch.config import (ExperimentConfig, apply_overrides, build_graph,
 def test_defaults_are_valid():
     cfg = ExperimentConfig()
     assert cfg.graph == {"kind": "torus", "d": 1, "L": 8}
-    assert cfg.scheme == "euler" and cfg.method == "trotter"
+    assert cfg.method == "trotter"
 
 
 def test_unknown_key_rejected_with_path():
@@ -43,8 +43,6 @@ def test_build_graph():
 def test_value_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(replicas=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(scheme="heun")
     with pytest.raises(ValueError):
         ExperimentConfig(method="exact")
     with pytest.raises(ValueError):
@@ -93,11 +91,11 @@ def test_real_keys_must_be_finite():
 def test_apply_overrides():
     cfg = ExperimentConfig()
     out = apply_overrides(cfg, ["gamma=2.5", "graph.L=6", "times=[0.1,0.2]",
-                                "scheme=split"])
+                                "method=pdmp"])
     assert out.gamma == 2.5
     assert out.graph["L"] == 6
     assert out.times == [0.1, 0.2]
-    assert out.scheme == "split"
+    assert out.method == "pdmp"
     # originals untouched
     assert cfg.gamma == 1.0
 

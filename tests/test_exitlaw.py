@@ -328,6 +328,29 @@ def test_truncation_unbalanceable_eps_raises():
         truncate_nu(0.0, 0.7)  # cut must stay below 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(rho=st.floats(-0.99, 0.99), eps=st.floats(0.005, 0.45),
+       seed=st.integers(0, 2**31))
+@example(rho=0.99, eps=0.01, seed=0)  # residual -4e-6 on a mass of 1.7e10
+@example(rho=-0.5, eps=0.1, seed=0)   # cut too large: the root is lost
+def test_truncation_properties(rho, eps, seed):
+    # either the documented refusal, or a balanced measure whose sampled
+    # keep marks avoid the cut window (1 - eps', 1 + eps)
+    try:
+        meas = truncate_nu(rho, eps)
+    except ValueError as err:
+        assert "balance root not bracketed" in str(err)
+        return
+    assert meas.m2 == 1.0 and meas.balance == 0.0
+    assert abs(meas.balance_residual) <= 1e-12 * meas.total_mass
+    assert 0.0 < meas.eps_prime < 1.0
+    swap, mags = sample_nu_trunc(meas, rngmod.stream(seed, "t-trunc-prop"),
+                                 size=2000)
+    assert np.all(np.isfinite(mags)) and np.all(mags > 0)
+    keep = mags[~swap]
+    assert not np.any((keep > 1.0 - meas.eps_prime) & (keep < 1.0 + eps))
+
+
 def test_atomic_swap_measure_constants():
     meas = atomic_swap_measure()
     assert meas.total_mass == 1.0

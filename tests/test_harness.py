@@ -145,6 +145,12 @@ def test_cli_sbm_run(tmp_path, capsys):
     assert len(lines) == 1 + 64 * 4
 
 
+def test_cli_sbm_run_scheme_is_unknown_key(capsys):
+    # the finite-rate simulator has one (Euler) scheme and no key to pick it
+    assert cli.main(["sbm", "run", "--set", "scheme=split"]) == 2
+    assert "scheme" in capsys.readouterr().err
+
+
 def test_cli_dual_moment(capsys):
     cfg = {"rho": 0.0, "gamma": 1.0, "horizon": 0.5, "replicas": 200,
            "seed": 1, "graph": {"kind": "torus", "d": 1, "L": 4},

@@ -1,4 +1,4 @@
-"""Finite-rate SDE stepping, mass martingales, brackets, time change."""
+"""Finite-rate SDE stepping, mass martingales, brackets, aborts."""
 
 import math
 
@@ -122,19 +122,6 @@ def test_simulate_deterministic_given_seed(ring8):
     assert np.array_equal(a.clock, b.clock)
 
 
-def test_split_scheme_rho_minus_one_conservation(ring8):
-    # heat-exact splitting: the sum field is conserved to 1e-10 when no
-    # clamping fires
-    u0 = 0.5 + 0.3 * np.cos(2 * np.pi * np.arange(8) / 8)
-    init = PairField(u0, 1.0 - u0)
-    cfg = _cfg(rho=-1.0, scheme="split", horizon=0.2, replicas=64, seed=5)
-    obs = simulate(ring8, cfg, init, probes=list(range(8)), times=[0.2])
-    clean = obs.clamp_count == 0
-    assert clean.any()
-    s = obs.probe_u[clean, -1, :] + obs.probe_v[clean, -1, :]
-    assert np.max(np.abs(s - 1.0)) < 1e-10
-
-
 def test_bracket_gamma_zero_is_null(ring8):
     init = PairField(np.full(8, 1.0), np.full(8, 0.5))
     obs = simulate(ring8, _cfg(gamma=0.0, replicas=8), init)
@@ -151,33 +138,29 @@ def test_bracket_ratio_estimates_rho(ring8):
         assert br["ratio"] == pytest.approx(rho, abs=0.05)
 
 
-def test_time_change_clock_grid(ring8):
-    # mass increments sampled on an equal-clock grid behave like a correlated
-    # Brownian pair: variance per unit clock ~ 1, increment correlation ~ rho
+def test_brackets_per_clock_unit(ring8):
+    # in the clock gamma int <u,v> ds the total masses are a rho-correlated
+    # Brownian pair: each quadratic variation is one per unit clock and the
+    # cross-variation is rho per unit clock (SE of quad_u/clock ~ 0.0006)
     rho = 0.5
     init = PairField(np.full(8, 1.0), np.full(8, 0.5))
     cfg = _cfg(rho=rho, horizon=0.5, replicas=10000, seed=7)
-    obs = simulate(ring8, cfg, init, clock_grid=0.01, max_crossings=48)
-    cm_u, cm_v = obs.clock_masses
-    full = (~obs.aborted) & np.all(np.isfinite(cm_u), axis=1)
-    du = np.diff(cm_u[full], axis=1).ravel()
-    dv = np.diff(cm_v[full], axis=1).ravel()
-    var_per_clock = du.var() / 0.01
-    corr = np.corrcoef(du, dv)[0, 1]
-    assert var_per_clock == pytest.approx(1.0, abs=0.10)
-    assert corr == pytest.approx(rho, abs=0.10 * abs(rho) + 0.02)
+    br = realized_brackets(simulate(ring8, cfg, init))
+    assert br["n_replicas"] == cfg.replicas
+    assert br["quad_u"] / br["predicted_quad"] == pytest.approx(1.0, abs=0.01)
+    assert br["quad_v"] / br["predicted_quad"] == pytest.approx(1.0, abs=0.01)
+    assert br["ratio"] == pytest.approx(rho, abs=0.02)
 
 
-def _row_major_reference(g, cfg, initial, probes, times, clock_grid=None,
-                         max_crossings=64):
+def _row_major_reference(g, cfg, initial, probes, times):
     """The replica-major loop simulate replaced, kept as its oracle: (m, n)
-    arrays per chunk, the same streams and draws, aborts found site by site."""
+    arrays per chunk, the same streams and draws, aborts found site by site
+    and from an overflowing pair product."""
     n, R = g.n_sites, cfg.replicas
     steps = int(round(cfg.horizon / cfg.dt))
     probes = np.asarray(probes, dtype=int)
     rec = np.unique(np.clip(np.round(np.asarray(times) / cfg.dt).astype(int),
                             0, steps))
-    heat = heat_semigroup(g, cfg.dt) if cfg.scheme == "split" else None
     root = math.sqrt(1.0 - cfg.rho * cfg.rho)
     out = {k: np.zeros(R) for k in ("total_u", "total_v", "clock", "quad_u",
                                      "quad_v", "cross")}
@@ -185,9 +168,6 @@ def _row_major_reference(g, cfg, initial, probes, times, clock_grid=None,
     out["aborted"] = np.zeros(R, dtype=bool)
     out["probe_u"] = np.full((R, rec.size, probes.size), np.nan)
     out["probe_v"] = np.full((R, rec.size, probes.size), np.nan)
-    n_clock = max_crossings if clock_grid else 0
-    cm_u = np.full((R, n_clock), np.nan)
-    cm_v = np.full((R, n_clock), np.nan)
     for lo, hi, rng in rngmod.chunk_streams(cfg.seed, "sbm-finite", R):
         m = hi - lo
         u = np.tile(np.asarray(initial.u, dtype=float), (m, 1))
@@ -196,18 +176,13 @@ def _row_major_reference(g, cfg, initial, probes, times, clock_grid=None,
         clamp = np.zeros(m, dtype=np.int64)
         ok = np.ones(m, dtype=bool)
         tot_u, tot_v = u.sum(axis=1), v.sum(axis=1)
-        next_cross = np.full(m, clock_grid)
-        crossings = np.zeros(m, dtype=int)
         for step in range(steps + 1):
             if step:
                 pair = np.einsum("ij,ij->i", u, v)
                 z1 = rng.standard_normal((m, n))
                 zperp = rng.standard_normal((m, n))
-                if heat is None:
-                    un = u + u @ g.rates.T * cfg.dt
-                    vn = v + v @ g.rates.T * cfg.dt
-                else:
-                    un, vn = u @ heat.T, v @ heat.T
+                un = u + u @ g.rates.T * cfg.dt
+                vn = v + v @ g.rates.T * cfg.dt
                 if cfg.gamma > 0:
                     sig = np.sqrt(cfg.gamma * np.maximum(u, 0.0)
                                   * np.maximum(v, 0.0) * cfg.dt)
@@ -215,7 +190,8 @@ def _row_major_reference(g, cfg, initial, probes, times, clock_grid=None,
                     vn = vn + sig * (cfg.rho * z1 + root * zperp)
                 clamp += (un < 0).sum(axis=1) + (vn < 0).sum(axis=1)
                 u, v = np.maximum(un, 0.0), np.maximum(vn, 0.0)
-                bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1))
+                bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
+                        & np.isfinite(pair))
                 ok &= ~bad
                 u[bad] = 0.0
                 v[bad] = 0.0
@@ -226,15 +202,6 @@ def _row_major_reference(g, cfg, initial, probes, times, clock_grid=None,
                 acc["cross"] += du * dv
                 acc["clock"] += np.where(ok, cfg.gamma * pair * cfg.dt, 0.0)
                 tot_u, tot_v = u.sum(axis=1), v.sum(axis=1)
-                while clock_grid:
-                    hit = np.flatnonzero(ok & (acc["clock"] >= next_cross)
-                                         & (crossings < n_clock))
-                    if not hit.size:
-                        break
-                    cm_u[lo + hit, crossings[hit]] = tot_u[hit]
-                    cm_v[lo + hit, crossings[hit]] = tot_v[hit]
-                    crossings[hit] += 1
-                    next_cross[hit] += clock_grid
             if step in rec and probes.size:
                 j = int(np.searchsorted(rec, step))
                 out["probe_u"][lo:hi, j] = u[:, probes]
@@ -244,8 +211,6 @@ def _row_major_reference(g, cfg, initial, probes, times, clock_grid=None,
             out[k][lo:hi] = a
         out["clamp_count"][lo:hi] = clamp
         out["aborted"][lo:hi] = ~ok
-    if clock_grid:
-        out["cm_u"], out["cm_v"] = cm_u, cm_v
     return out
 
 
@@ -253,32 +218,26 @@ _FIELDS = ("total_u", "total_v", "clock", "quad_u", "quad_v", "cross",
            "clamp_count", "aborted", "probe_u", "probe_v")
 
 
-@pytest.mark.parametrize("scheme", ["euler", "split"])
 @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 1.0])
-def test_simulate_bit_identical_to_row_major_on_dumbbell(rho, scheme):
+def test_simulate_bit_identical_to_row_major_on_dumbbell(rho):
     # two chunks, a start with empty sites (so clamps fire), probes at t = 0
     g = build_graph({"kind": "dumbbell"})
     init = PairField([1.0, 0.0], [0.0, 1.0])
-    cfg = _cfg(gamma=5.0, rho=rho, dt=0.01, horizon=0.2, scheme=scheme,
+    cfg = _cfg(gamma=5.0, rho=rho, dt=0.01, horizon=0.2,
                replicas=rngmod.CHUNK + 3, seed=12)
     kw = dict(probes=[0, 1], times=[0.0, 0.05, 0.2])
-    obs = simulate(g, cfg, init, clock_grid=0.01, max_crossings=8, **kw)
-    ref = _row_major_reference(g, cfg, init, clock_grid=0.01, max_crossings=8,
-                               **kw)
+    obs = simulate(g, cfg, init, **kw)
+    ref = _row_major_reference(g, cfg, init, **kw)
     assert obs.clamp_count.sum() > 0
     for key in _FIELDS:
         assert np.array_equal(getattr(obs, key), ref[key], equal_nan=True), key
-    assert np.array_equal(obs.clock_masses[0], ref["cm_u"], equal_nan=True)
-    assert np.array_equal(obs.clock_masses[1], ref["cm_v"], equal_nan=True)
 
 
-@pytest.mark.parametrize("scheme", ["euler", "split"])
-def test_simulate_matches_row_major_on_torus(ring8, scheme):
+def test_simulate_matches_row_major_on_torus(ring8):
     # sums over 8 sites run in another order: 1e-12 relative, on the scale
     # sqrt(quad_u quad_v) for the cross bracket, which can be near 0
     init = PairField(np.linspace(0.0, 1.0, 8), np.linspace(1.0, 0.1, 8))
-    cfg = _cfg(gamma=2.0, rho=0.3, horizon=0.1, scheme=scheme,
-               replicas=rngmod.CHUNK + 3, seed=13)
+    cfg = _cfg(gamma=2.0, rho=0.3, horizon=0.1, replicas=rngmod.CHUNK + 3, seed=13)
     kw = dict(probes=[0, 5], times=[0.0, 0.1])
     obs = simulate(ring8, cfg, init, **kw)
     ref = _row_major_reference(ring8, cfg, init, **kw)
@@ -292,10 +251,11 @@ def test_simulate_matches_row_major_on_torus(ring8, scheme):
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
 def test_simulate_abort_matches_row_major(rho):
-    # u v overflows where the mass sits, at site 0 on the first step and at
-    # site 1 on the second; a replica aborts when its noise there is positive
+    # u v = 1.69e308 at site 0 is just below the largest float; the first
+    # step keeps every field finite, and u v overflows at the second step in
+    # the replicas whose noise there pushes both fields up
     g = build_graph({"kind": "dumbbell"})
-    init = PairField([1e200, 1.0], [1e200, 1.0])
+    init = PairField([1.3e154, 1.0], [1.3e154, 1.0])
     cfg = _cfg(rho=rho, horizon=0.002, replicas=256, seed=14)
     kw = dict(probes=[1], times=[0.001, 0.002])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,6 +266,10 @@ def test_simulate_abort_matches_row_major(rho):
         assert np.array_equal(getattr(obs, key), ref[key], equal_nan=True), key
     assert np.all(obs.total_u[obs.aborted] == 0.0)
     assert np.all(obs.total_v[obs.aborted] == 0.0)
+    ok = ~obs.aborted
+    for key in ("clock", "quad_u", "quad_v", "cross"):
+        assert np.all(np.isfinite(getattr(obs, key)[ok])), key
+    assert math.isfinite(realized_brackets(obs)["ratio"])
 
 
 def test_simulate_total_overflow_is_an_abort():

@@ -1,11 +1,15 @@
 """Infinite-rate simulators: Trotter scheme and truncated jump process."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbranch import rng as rngmod
 from symbranch.config import build_graph
-from symbranch.exitlaw import ExitLawParams, atomic_swap_measure, truncate_nu
+from symbranch.exitlaw import ExitLawParams, truncate_nu
 from symbranch.lattice import SiteGraph, build_dumbbell, heat_semigroup
 from symbranch.sbm_infinite import (BoundaryField, NegativeIntensity,
                                     intensity, jump_update,
@@ -91,6 +95,33 @@ def test_project_to_boundary_per_row_mass():
     assert np.all(pu * pv == 0.0)
     assert zeroed.shape == (2,)
     assert zeroed == pytest.approx([0.3, 0.0])
+
+
+_MAGNITUDE = st.one_of(st.just(0.0),
+                       st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4), sites=st.integers(1, 6), flat=st.booleans(),
+       data=st.data())
+def test_project_to_boundary_properties(rows, sites, flat, data):
+    shape = (sites,) if flat else (rows, sites)
+    size = int(np.prod(shape))
+    u, v = (np.array(data.draw(st.lists(_MAGNITUDE, min_size=size,
+                                        max_size=size))).reshape(shape)
+            for _ in range(2))
+    pu, pv, zeroed = project_to_boundary(u.copy(), v.copy())
+    assert np.all(pu * pv == 0.0)
+    assert np.array_equal(pu + pv, np.maximum(u, v))
+    off = np.where((u > 0) & (v > 0), np.minimum(u, v), 0.0)
+    if flat:
+        assert isinstance(zeroed, float)
+        expected = np.array([math.fsum(off)])
+    else:
+        assert zeroed.shape == (rows,)
+        expected = np.array([math.fsum(r) for r in off])
+    assert np.all(np.abs(np.atleast_1d(zeroed) - expected)
+                  <= 1e-12 * expected)
 
 
 def test_trotter_zero_state_fixed(ring8):
@@ -179,8 +210,7 @@ def test_pdmp_rho_minus_one_exactness(ring8):
     u0 = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
     init = BoundaryField(u0, 1.0 - u0)
     res = pdmp_simulate(ring8, -1.0, init, horizon=0.5,
-                        eps=0.1, replicas=64, seed=7,
-                        measure=atomic_swap_measure())
+                        eps=0.1, replicas=64, seed=7)
     s = res["u"] + res["v"]
     assert np.all(s == 1.0)  # exact unit magnitudes, dyadic arithmetic
     assert np.all(res["u"] * res["v"] == 0.0)
@@ -194,7 +224,7 @@ def test_pdmp_rho_minus_one_closed_form():
     init = BoundaryField(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     t, n = 0.7, 4000
     res = pdmp_simulate(g, -1.0, init, horizon=t, eps=0.1, replicas=n,
-                        seed=11, measure=atomic_swap_measure())
+                        seed=11)
     assert np.all(res["u"] + res["v"] == 1.0)
     decay = np.exp(-t)
     for obs, expected in ((res["u"][:, 0] * res["u"][:, 1], (1 - decay) / 2),
