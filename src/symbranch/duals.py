@@ -57,7 +57,6 @@ class ColoredParticleSystem:
         self.n = len(self.pos)
         self.L_same = 0.0
         self.L_opp = 0.0
-        self.n_flips = 0
         self._budget = {}
 
     def _active_pairs(self):
@@ -102,7 +101,6 @@ class ColoredParticleSystem:
                 i, j = same[i_min]
                 k = i if self.rng.random() < 0.5 else j
                 self.col[k] = 3 - self.col[k]
-                self.n_flips += 1
                 for p in list(self._budget):
                     if k in p:
                         del self._budget[p]
@@ -122,14 +120,11 @@ def moment_dual_estimate(g, gamma, rho, initial, u_sites, v_sites, t,
                          replicas=10000, seed=0, rng_tag="moment-dual"):
     """Dual-route estimate of E[prod u_t(k) prod v_t(k)] with standard error.
 
-    initial is the start pair (u0, v0) of the forward process (a PairField or
-    a 2-tuple of fields). Variance of the exponential weight explodes once
-    gamma * t * n_pairs is large; refuses beyond 10, and warns when the
-    relative standard error exceeds 50%.
+    initial is the PairField the forward process starts from. Variance of the
+    exponential weight explodes once gamma * t * n_pairs is large; refuses
+    beyond 10, and warns when the relative standard error exceeds 50%.
     """
-    u0raw, v0raw = (initial.u, initial.v) if hasattr(initial, "u") else initial
-    u0 = np.asarray(u0raw, dtype=float)
-    v0 = np.asarray(v0raw, dtype=float)
+    u0, v0 = initial.u, initial.v
     sites = list(u_sites) + list(v_sites)
     colors = [1] * len(u_sites) + [2] * len(v_sites)
     n_pairs = len(sites) * (len(sites) - 1) / 2

@@ -99,31 +99,33 @@ def _unit_image(params, u, v):
     return float(R), math.cos(ang), math.sin(ang)
 
 
+def _axis_cauchy(params, start, axis):
+    """Modulus R of the decorrelated start and the Cauchy(loc, z2) law of the
+    exit point in s = (r/(qR))^p on the given axis: loc = z1 on the U axis,
+    -z1 on the V axis (reflected so that the axis is again s > 0)."""
+    u, v = start
+    if not (u > 0 and v > 0 and abs(params.rho) < 1):
+        raise AtomicExitLaw("the exit law is atomic unless the start is "
+                            "interior and |rho| < 1")
+    R, z1, z2 = _unit_image(params, u, v)
+    return R, (z1 if axis == U_AXIS else -z1), z2
+
+
 def exit_density_on_axis(params, start, axis, r):
     """Exit-law density on one axis of E, vectorized over the magnitude r."""
-    u, v = start
-    if not (u > 0 and v > 0):
-        raise AtomicExitLaw(f"start {start!r} is already absorbed: the law is atomic")
-    if abs(params.rho) == 1:
-        raise AtomicExitLaw("|rho| = 1: the exit law is atomic")
+    R, loc, z2 = _axis_cauchy(params, start, axis)
     p = params.p
-    R, z1, z2 = _unit_image(params, u, v)
     scale = params.root1m2 * R
     t = np.asarray(r, dtype=float) / scale
-    s = t**p
     jac = (p / scale) * t ** (p - 1.0)
-    shift = s - z1 if axis == U_AXIS else s + z1
-    return (z2 / (np.pi * (z2**2 + shift**2))) * jac
+    return (z2 / (np.pi * (z2**2 + (t**p - loc)**2))) * jac
 
 
 def exit_axis_prob(params, start, axis=U_AXIS):
-    """Probability that the pair exits through the given axis."""
-    u, v = start
-    if u > 0 and v > 0 and abs(params.rho) < 1:
-        _, z1, z2 = _unit_image(params, u, v)
-        pU = 0.5 + math.atan2(z1, z2) / math.pi  # Cauchy(z1, z2) mass on (0, inf)
-        return pU if axis == U_AXIS else 1.0 - pU
-    raise AtomicExitLaw("axis probability via density requires an interior start")
+    """Probability that the pair exits through the given axis: the mass of
+    Cauchy(loc, z2) on (0, inf)."""
+    _, loc, z2 = _axis_cauchy(params, start, axis)
+    return math.atan2(z2, -loc) / math.pi
 
 
 def exit_axis_mass_quadrature(params, start, axis):
@@ -136,36 +138,17 @@ def exit_axis_mass_quadrature(params, start, axis):
 
 
 def exit_magnitude_cdf(params, start, axis, r_eval):
-    """Cumulative quadrature of exit_density_on_axis, normalized per axis.
+    """Conditional CDF of the exit magnitude given the axis, at r_eval.
 
-    Returns the conditional CDF of the exit magnitude given the axis, evaluated
-    at r_eval, by trapezoidal integration of the implemented density on a dense
-    grid in the substituted variable s = (r/(qR))^p (where the integrand is a
-    bounded rational function). Grid refinement is added around the integrand's
-    peak so narrow Cauchy ridges are resolved.
+    In s = (r/(qR))^p the exit point on the axis is Cauchy(loc, z2)
+    restricted to s > 0 (see _axis_cauchy), so in closed form
+    F(s) = 1 - atan2(z2, s - loc) / atan2(z2, -loc). Returns a float for a
+    scalar r_eval and an array otherwise.
     """
-    u, v = start
-    R, z1, z2 = _unit_image(params, u, v)
-    r_eval = np.atleast_1d(np.asarray(r_eval, dtype=float))
-    s_eval = (r_eval / (params.root1m2 * R)) ** params.p
-    s_max = max(s_eval.max() * 1.0001, (abs(z1) + 50 * z2) * 1.01, 1e-6)
-    base = np.geomspace(s_max * 1e-14, s_max, 300_001)
-    lo, hi = z1 - 40 * z2, z1 + 40 * z2
-    if hi > 0:  # refine around the peak when it sits in the domain
-        peak = np.linspace(max(lo, s_max * 1e-14), min(hi, s_max), 120_001)
-        base = np.union1d(base, peak)
-    grid = np.concatenate(([0.0], base))
-    shift = grid - z1 if axis == U_AXIS else grid + z1
-    f = z2 / (np.pi * (z2**2 + shift**2))
-    cum = np.concatenate(([0.0], np.cumsum(np.diff(grid) * 0.5 * (f[1:] + f[:-1]))))
-    total = cum[-1] + _cauchy_tail(z1 if axis == U_AXIS else -z1, z2, grid[-1])
-    vals = np.interp(s_eval, grid, cum) / total
-    return vals if vals.size > 1 else float(vals[0])
-
-
-def _cauchy_tail(loc, scale, s_from):
-    """Mass of Cauchy(loc, scale) on (s_from, inf)."""
-    return 0.5 - math.atan2(s_from - loc, scale) / math.pi
+    R, loc, z2 = _axis_cauchy(params, start, axis)
+    s = (np.asarray(r_eval, dtype=float) / (params.root1m2 * R)) ** params.p
+    vals = 1.0 - np.arctan2(z2, s - loc) / math.atan2(z2, -loc)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def sample_exit_batch(params, u, v, rng):

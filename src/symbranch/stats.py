@@ -5,21 +5,12 @@ from scipy import stats as sps
 
 
 def ks_statistic(samples, cdf):
-    """Two-sided KS statistic of samples against a CDF.
-
-    cdf may be a callable or an array of CDF values already evaluated at the
-    samples (in the same order).
-    """
+    """Two-sided KS statistic of samples against a CDF callable."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
-    if callable(cdf):
-        F = np.asarray(cdf(x), dtype=float)
-    else:
-        F = np.sort(np.asarray(cdf, dtype=float))
-        if F.shape != x.shape:
-            raise ValueError("cdf values must match sample size")
+    F = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - F)
     d_minus = np.max(F - (i - 1) / n)
@@ -49,16 +40,9 @@ def hill_exponent(samples, k=None):
     return float(1.0 / np.mean(logs[1:] - logs[0]))
 
 
-def pooled_mean_se(streams):
-    """Mean and standard error of pooled replica values.
-
-    streams: 1-d array of per-replica values, or a list of such arrays
-    (concatenated before pooling).
-    """
-    if isinstance(streams, (list, tuple)):
-        x = np.concatenate([np.asarray(s, float).ravel() for s in streams])
-    else:
-        x = np.asarray(streams, float).ravel()
+def pooled_mean_se(values):
+    """Mean and standard error of per-replica values (flattened)."""
+    x = np.asarray(values, float).ravel()
     n = x.size
     if n < 2:
         raise ValueError("need at least 2 values")

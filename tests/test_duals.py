@@ -34,8 +34,8 @@ def test_colored_system_validation(ring4):
 def test_moment_dual_t_zero_is_exact(ring4):
     u0 = np.array([1.0, 0.5, 2.0, 0.0])
     v0 = np.array([0.3, 1.0, 0.7, 1.5])
-    mean, se = moment_dual_estimate(ring4, 1.0, 0.0, (u0, v0), [2], [3],
-                                    t=0.0, replicas=64, seed=1)
+    mean, se = moment_dual_estimate(ring4, 1.0, 0.0, PairField(u0, v0),
+                                    [2], [3], t=0.0, replicas=64, seed=1)
     assert se == 0.0
     assert mean == pytest.approx(u0[2] * v0[3], abs=1e-14)
 
@@ -45,8 +45,8 @@ def test_moment_dual_single_particle_is_heat(ring4):
     u0 = np.array([1.0, 0.0, 0.0, 0.0])
     v0 = np.zeros(4)
     t = 0.7
-    mean, se = moment_dual_estimate(ring4, 1.0, 0.0, (u0, v0), [0], [],
-                                    t=t, replicas=60000, seed=2)
+    mean, se = moment_dual_estimate(ring4, 1.0, 0.0, PairField(u0, v0),
+                                    [0], [], t=t, replicas=60000, seed=2)
     expected = float(heat_semigroup(ring4, t)[0] @ u0)
     assert abs(mean - expected) < 3 * max(se, 1e-12)
 
@@ -56,8 +56,8 @@ def test_moment_dual_gamma_zero_product(dumbbell):
     u0 = np.array([2.0, 0.0])
     v0 = np.array([0.0, 1.0])
     t = 0.5
-    mean, se = moment_dual_estimate(dumbbell, 0.0, -0.5, (u0, v0), [0], [1],
-                                    t=t, replicas=60000, seed=3)
+    mean, se = moment_dual_estimate(dumbbell, 0.0, -0.5, PairField(u0, v0),
+                                    [0], [1], t=t, replicas=60000, seed=3)
     P = heat_semigroup(dumbbell, t)
     expected = float((P[0] @ u0) * (P[1] @ v0))
     assert abs(mean - expected) < 3 * se
@@ -80,7 +80,8 @@ def test_moment_dual_recoloring_matches_euler(dumbbell):
 
 def test_moment_dual_budget_guard(ring4):
     with pytest.raises(ValueError):
-        moment_dual_estimate(ring4, 10.0, 0.0, (np.ones(4), np.ones(4)),
+        moment_dual_estimate(ring4, 10.0, 0.0,
+                             PairField(np.ones(4), np.ones(4)),
                              [0, 1], [2, 3], t=1.0, replicas=8, seed=6)
 
 

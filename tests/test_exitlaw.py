@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from symbranch import experiments
 from symbranch import rng as rngmod
 from symbranch.exitlaw import (AtomicExitLaw, ExitLawParams, PoleValue,
                                U_AXIS, V_AXIS, atomic_swap_measure,
@@ -214,6 +215,7 @@ def test_density_atomic_cases_raise():
        c=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
        ratio=st.floats(0.1, 10.0), w=st.floats(0.2, 5.0))
 @example(rho=-0.999, c=1e6, ratio=2.0, w=2.5)  # R**p overflowed here
+@example(rho=0.9, c=1e-3, ratio=5000.0, w=1.0)  # start (0.001, 5)
 def test_exit_law_scale_invariance(rho, c, ratio, w):
     # the exit point from c x is c times the exit point from x: axis
     # probabilities agree, densities scale by 1/c and CDFs agree, to 1e-9
@@ -242,6 +244,79 @@ def test_sampler_matches_cdf():
     d = ks_statistic(uu[uu > 0],
                      lambda r: exit_magnitude_cdf(params, start, U_AXIS, r))
     assert d < 0.012  # ~1.6x the 1e-3 null band at n~25000
+
+
+def _density_peak(rho, start, axis):
+    """Magnitude at which the exit density on the axis peaks, or None when
+    it decreases from 0: the Cauchy(loc, z2) peak s = loc pulled back from
+    the half-plane, derived here from the wedge map independently."""
+    q = math.sqrt(1.0 - rho * rho)
+    p = critical_exponent(rho)
+    u, v = start
+    vt = (v - rho * u) / q
+    ang = p * (math.atan2(vt, u) + math.asin(rho))
+    loc = math.cos(ang) if axis == U_AXIS else -math.cos(ang)
+    return q * math.hypot(u, vt) * loc ** (1.0 / p) if loc > 0 else None
+
+
+@pytest.mark.parametrize("rho", (-0.9, 0.0, 0.5, 0.9, 0.999))
+@pytest.mark.parametrize("start", ((1.0, 1.0), (2.0, 0.5), (0.001, 5.0),
+                                   (5.0, 0.001)), ids=str)
+def test_cdf_matches_density_quadrature(rho, start):
+    # the closed-form CDF against adaptive quadrature of the density (with
+    # its Jacobian) over the axis mass, at sample quantiles of the exit
+    # magnitude; from (0.001, 5) at rho 0.999 the V-axis peak has width
+    # ~1e-5 in s, and both axes are checked even where one carries ~1e-4
+    params = ExitLawParams(rho)
+    uu, vv = sample_exit_batch(params, np.full(4000, start[0]),
+                               np.full(4000, start[1]),
+                               rngmod.stream(0, "t-cdf-quad"))
+    for axis in (U_AXIS, V_AXIS):
+        mass = exit_axis_prob(params, start, axis)
+        peak = _density_peak(rho, start, axis)
+        for r in np.quantile(np.maximum(uu, vv), (0.1, 0.5, 0.9)):
+            points = [peak] if peak is not None and peak < r else None
+            val, _ = quad(
+                lambda x: float(exit_density_on_axis(params, start, axis, x)),
+                0.0, r, points=points, epsabs=0.0, epsrel=1e-11, limit=400)
+            F = exit_magnitude_cdf(params, start, axis, r)
+            assert F == pytest.approx(val / mass, abs=1e-8)
+
+
+def test_sampler_matches_cdf_near_axis():
+    # from (0.001, 5) the V-axis exit point is a Cauchy ridge at s = -z1 ~ 1
+    # of width ~1e-4 in s = (r/(qR))^p; a CDF that resolves the peak only
+    # at +z1 gives d = 0.038 here
+    params = ExitLawParams(0.9)
+    start = (0.001, 5.0)
+    n = 200000
+    rng = rngmod.stream(6, "t-ks-near-axis")
+    _, vv = sample_exit_batch(params, np.full(n, start[0]),
+                              np.full(n, start[1]), rng)
+    d = ks_statistic(vv[vv > 0],
+                     lambda r: exit_magnitude_cdf(params, start, V_AXIS, r))
+    assert d < 0.006  # 1/sqrt(n) = 0.0022
+
+
+def test_exitlaw_validate_ks_rows_catch_a_shifted_sampler(monkeypatch):
+    # planted defect: the sampler draws at rho + 0.1; every sampler vs
+    # density KS row must then FAIL, and pass without it
+    cfg = experiments.default_config("exitlaw-validate", replicas=20000,
+                                     rho_grid=[0.0])
+
+    def ks_rows():
+        rows = [r for r in experiments.run_experiment(cfg).criteria
+                if r.name.startswith("sampler vs density KS")]
+        assert len(rows) == 4
+        return rows
+
+    assert all(r.passed for r in ks_rows())
+    exact = experiments.sample_exit_batch
+    monkeypatch.setattr(
+        experiments, "sample_exit_batch",
+        lambda params, u, v, rng: exact(ExitLawParams(params.rho + 0.1),
+                                        u, v, rng))
+    assert not any(r.passed for r in ks_rows())
 
 
 # ---------------------------------------------------------------------------
