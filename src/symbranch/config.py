@@ -16,6 +16,7 @@ from symbranch.lattice import build_dumbbell, build_torus
 _REAL_KEYS = ("gamma", "rho", "horizon", "dt", "eps", "trunc_eps",
               "flow_substep")
 _INT_KEYS = ("replicas", "seed")
+_SITE_KEYS = ("probes", "sites", "u_sites", "v_sites", "pairs")
 
 _GRAPH_KEYS = {
     "torus": {"kind", "d", "L"},
@@ -65,6 +66,12 @@ class ExperimentConfig:
                     raise ValueError(f"{name} must be finite, got {val!r}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be > 0 (omit it for the default)")
+        for name in ("eps", "flow_substep"):
+            val = getattr(self, name)
+            if not val > 0:
+                raise ValueError(f"{name} must be > 0, got {val!r}")
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {self.horizon!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.method not in ("trotter", "pdmp"):
@@ -82,6 +89,20 @@ class ExperimentConfig:
                     raise ValueError(f"unknown config keys: {paths}")
                 if "eta" in blk and len(blk) > 1:
                     raise ValueError(f"{name}: eta cannot be mixed with u/v")
+        listed = [k for k in _SITE_KEYS if getattr(self, k) is not None]
+        n = build_graph(self.graph).n_sites if listed else 0
+        for name in listed:
+            blk = getattr(self, name)
+            flat = blk if isinstance(blk, (list, tuple)) else [None]
+            if name == "pairs":  # [[x, y], ...]
+                flat = [s for p in flat for s in (
+                    p if isinstance(p, (list, tuple)) and len(p) == 2
+                    else [None])]
+            if not all(isinstance(s, numbers.Integral) and not isinstance(
+                    s, bool) and 0 <= s < n for s in flat):
+                what = "[x, y] pairs of sites" if name == "pairs" else "sites"
+                raise ValueError(f"{name} must be a list of {what} in "
+                                 f"[0, {n}) on this graph, got {blk!r}")
 
     def to_dict(self):
         return dataclasses.asdict(self)

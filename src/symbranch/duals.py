@@ -25,7 +25,7 @@ import numpy as np
 from symbranch import rng as rngmod
 from symbranch.lattice import heat_semigroup
 from symbranch.sbm_finite import simulate
-from symbranch.stats import complex_mean_se
+from symbranch.stats import complex_mean_se, pooled_mean_se
 
 
 def _walk_step(g, pos, rng):
@@ -138,8 +138,7 @@ def moment_dual_estimate(g, gamma, rho, initial, u_sites, v_sites, t,
         sys_ = ColoredParticleSystem(g, gamma, sites, colors, rng)
         sys_.run(t)
         vals[r] = sys_.weight(u0, v0, rho)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(replicas))
+    mean, se = pooled_mean_se(vals)
     if mean != 0 and se / abs(mean) > 0.5:
         warnings.warn(f"moment dual relative SE {se / abs(mean):.1%} exceeds 50%")
     return mean, se
@@ -177,9 +176,7 @@ def coalescing_dual_estimate(g, u0, sites, t, replicas=10000, seed=0,
             row = heat_semigroup(g, remaining)[pos[0]]
             pos = [int(rng.choice(g.n_sites, p=row / row.sum()))]
         vals[r] = np.prod(u0[pos])
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(replicas))
-    return mean, se
+    return pooled_mean_se(vals)
 
 
 def duality_pairing(x1, x2, y1, y2, rho):

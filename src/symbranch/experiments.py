@@ -2,8 +2,12 @@
 
 Every experiment ships defaults equal to its acceptance parameters, runs
 deterministically from (config, seed), and emits a JSON report plus fixed-column
-CSV tables. Wall-clock runtimes are kept on the in-memory report for display
-but never written to disk, so artifacts are byte-identical across runs.
+CSV tables. Each experiment makes one Checks list and calls one method per
+check: the method's test model decides the verdict, so no experiment writes a
+comparison. A row's runtime is the wall time since the previous row of its
+run (for the first row, since the run started). Runtimes and models are shown
+on stdout but never written to disk, so artifacts are byte-identical across
+runs.
 """
 
 import csv
@@ -43,6 +47,7 @@ class CriterionRow:
     tolerance: float
     passed: bool
     runtime: float  # seconds; reported to stdout, excluded from artifacts
+    model: str      # the Checks method that decided passed; not in artifacts
 
 
 @dataclasses.dataclass
@@ -131,16 +136,46 @@ def write_artifacts(report, out_dir):
     return paths
 
 
-class _Clock:
-    """Per-block stopwatch so each criterion row carries its own cost."""
+class Checks:
+    """The criterion rows of one run, each decided by its test model.
+
+    Every method appends one row whose model is the method's name and whose
+    runtime is the time since the previous row. A NaN anywhere FAILs.
+    """
 
     def __init__(self):
+        self.rows = []
         self._t = time.monotonic()
 
-    def lap(self):
+    def _add(self, model, name, observed, target, tolerance, passed):
         now = time.monotonic()
-        dt, self._t = now - self._t, now
-        return dt
+        self.rows.append(CriterionRow(name, observed, target, tolerance,
+                                      bool(passed), now - self._t, model))
+        self._t = now
+
+    def within(self, name, observed, target, tol, strict=False, rel=False):
+        """|observed - target| <= tol (< if strict); with rel, the gap over
+        target against tol, reported as the tolerance tol * target."""
+        gap = abs(observed - target) / (target if rel else 1.0)
+        self._add("within", name, observed, target,
+                  tol * target if rel else tol,
+                  gap < tol if strict else gap <= tol)
+
+    def agree(self, name, a, b):
+        """Two (mean, se) routes: |m_a - m_b| < 3 hypot(se_a, se_b). A
+        one-sided z-test passes (target, 0.0) as the second route."""
+        gap = abs(a[0] - b[0])
+        tol = 3 * math.hypot(a[1], b[1])
+        self._add("agree", name, gap, 0.0, tol, gap < tol)
+
+    def below(self, name, step, strict=True):
+        """A signed ladder step: step < 0 (<= 0 unless strict)."""
+        self._add("below", name, step, 0.0, 0.0,
+                  step < 0.0 if strict else step <= 0.0)
+
+    def pvalue(self, name, p, alpha):
+        """A test's p-value above alpha; the row's target is 1."""
+        self._add("pvalue", name, p, 1.0, alpha, p > alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +206,17 @@ def initial_pair(cfg, g, default=None, field="initial"):
     return PairField(u, v)
 
 
+def _sparse_pair(g, u_at, v_at):
+    """PairField that is zero apart from the {site: value} entries of the
+    sites that g has."""
+    u, v = np.zeros(g.n_sites), np.zeros(g.n_sites)
+    for field, at in ((u, u_at), (v, v_at)):
+        for site, x in at.items():
+            if site < g.n_sites:
+                field[site] = x
+    return PairField(u, v)
+
+
 def sde_config(cfg, **overrides):
     """The SdeConfig of an experiment config; dt None means default_dt(gamma)."""
     kwargs = dict(gamma=cfg.gamma, rho=cfg.rho, horizon=cfg.horizon,
@@ -198,8 +244,7 @@ _EULER_HORIZONS = {-0.5: 60.0, 0.0: 300.0, 0.5: 700.0}
 
 
 def _run_exitlaw_validate(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.9, -0.5, 0.0, 0.5, 0.9)
     n_ks = int(cfg.replicas)
     n_euler = min(n_ks, 10000)
@@ -209,10 +254,8 @@ def _run_exitlaw_validate(cfg):
     for rho, expect, tol in ((0.0, 2.0, 0.0), (1.0, 1.0, 0.0),
                              (-0.5, 3.0, 1e-12), (0.5, 1.5, 1e-12)):
         got = critical_exponent(rho)
-        ok = got == expect if tol == 0.0 else abs(got - expect) <= tol
         exp_table.append((rho, got, expect))
-        rows.append(CriterionRow(f"critical exponent rho={rho}", got, expect,
-                                 tol, ok, clock.lap()))
+        checks.within(f"critical exponent rho={rho}", got, expect, tol)
 
     norm_table = []
     ks_table = []
@@ -223,10 +266,8 @@ def _run_exitlaw_validate(cfg):
             mass_v = exit_axis_mass_quadrature(params, start, V_AXIS)
             total = mass_u + mass_v
             norm_table.append((rho, start[0], start[1], total))
-            rows.append(CriterionRow(
-                f"density normalization rho={rho} start={start}",
-                abs(total - 1.0), 0.0, 1e-6, abs(total - 1.0) <= 1e-6,
-                clock.lap()))
+            checks.within(f"density normalization rho={rho} start={start}",
+                          abs(total - 1.0), 0.0, 1e-6)
     for rho in grid:
         params = ExitLawParams(rho)
         for start in _EXIT_STARTS:
@@ -238,9 +279,9 @@ def _run_exitlaw_validate(cfg):
                 d = ks_statistic(
                     mags, lambda r: exit_magnitude_cdf(params, start, axis, r))
                 ks_table.append((rho, start[0], start[1], axis, d, mags.size))
-                rows.append(CriterionRow(
-                    f"sampler vs density KS rho={rho} start={start} "
-                    f"axis={axis}", d, 0.0, 0.02, d < 0.02, clock.lap()))
+                checks.within(f"sampler vs density KS rho={rho} "
+                              f"start={start} axis={axis}", d, 0.0, 0.02,
+                              strict=True)
 
     euler_table = []
     for rho in [r for r in grid if r in _EULER_HORIZONS]:
@@ -259,9 +300,8 @@ def _run_exitlaw_validate(cfg):
         stat, pval = ks_two_sample(signed_o, signed_s)
         censored = 1.0 - keep.mean()
         euler_table.append((rho, stat, pval, int(keep.sum()), censored))
-        rows.append(CriterionRow(
-            f"sampler vs Euler oracle KS p-value rho={rho}", pval, 1.0,
-            0.001, pval > 0.001, clock.lap()))
+        checks.pvalue(f"sampler vs Euler oracle KS p-value rho={rho}", pval,
+                      0.001)
 
     moment_table = []
     for rho in grid:
@@ -270,9 +310,8 @@ def _run_exitlaw_validate(cfg):
         m, _ = quad(lambda y: y * nu_density_on_axis(rho, V_AXIS, y),
                     0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
         moment_table.append((rho, m))
-        rows.append(CriterionRow(
-            f"swap-branch first moment rho={rho}", abs(m - 1.0), 0.0, 1e-6,
-            abs(m - 1.0) <= 1e-6, clock.lap()))
+        checks.within(f"swap-branch first moment rho={rho}", abs(m - 1.0),
+                      0.0, 1e-6)
 
     scal_rho = 0.3
     fns = (("exp(-y)", lambda y: np.exp(-y)),
@@ -282,19 +321,16 @@ def _run_exitlaw_validate(cfg):
     for a in (0.5, 2.0, 3.0):
         for fname, f in fns:
             gap = _scaling_identity_gap(scal_rho, a, f, scaling_table, fname)
-            rows.append(CriterionRow(
-                f"jump-measure scaling a={a} f={fname}", gap, 0.0, 1e-6,
-                gap <= 1e-6, clock.lap()))
+            checks.within(f"jump-measure scaling a={a} f={fname}", gap, 0.0,
+                          1e-6)
 
     trunc_table = []
     for rho, eps in ((-0.5, 0.05), (0.0, 0.1), (0.5, 0.1)):
         meas = truncate_nu(rho, eps)
         trunc_table.append((rho, eps, meas.eps_prime, meas.balance_residual,
                             meas.m2, meas.total_mass))
-        resid = abs(meas.balance_residual)
-        rows.append(CriterionRow(
-            f"truncation balance residual rho={rho} eps={eps}", resid, 0.0,
-            1e-8, resid < 1e-8, clock.lap()))
+        checks.within(f"truncation balance residual rho={rho} eps={eps}",
+                      abs(meas.balance_residual), 0.0, 1e-8, strict=True)
 
     tables = {
         "exponent": (("rho", "value", "expected"), exp_table),
@@ -307,7 +343,7 @@ def _run_exitlaw_validate(cfg):
         "truncation": (("rho", "eps", "eps_prime", "balance_residual", "m2",
                         "total_mass"), trunc_table),
     }
-    return rows, tables
+    return checks.rows, tables
 
 
 def _scaling_identity_gap(rho, a, f, table, fname):
@@ -340,8 +376,7 @@ _TIME_HORIZONS = {-0.5: 60.0, 0.0: 400.0, 0.5: 1500.0}
 
 
 def _run_moment_curve(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.5, 0.0, 0.5)
     n_mag = int(cfg.replicas)
     n_time = max(n_mag // 10, 1000)
@@ -356,9 +391,8 @@ def _run_moment_curve(cfg):
         mags = np.maximum(uu, vv)
         hill = hill_exponent(mags, k=max(1000, int(0.002 * n_mag)))
         hill_err = abs(hill - p) / p
-        rows.append(CriterionRow(
-            f"exit magnitude Hill exponent rho={rho}", hill, p, 0.10 * p,
-            hill_err <= 0.10, clock.lap()))
+        checks.within(f"exit magnitude Hill exponent rho={rho}", hill, p,
+                      0.10, rel=True)
 
         oracle = euler_exit_oracle(
             rho, (1.0, 1.0), dt, n_time,
@@ -371,13 +405,12 @@ def _run_moment_curve(cfg):
         censored = float(oracle["censored"].mean())
         table.append((rho, p, hill, hill_err, slope, target, slope_err,
                       n_mag, n_time, censored))
-        rows.append(CriterionRow(
-            f"exit time tail exponent rho={rho}", slope, target,
-            0.15 * target, slope_err <= 0.15, clock.lap()))
+        checks.within(f"exit time tail exponent rho={rho}", slope, target,
+                      0.15, rel=True)
     tables = {"tails": (("rho", "p", "hill", "hill_rel_err", "time_slope",
                          "time_target", "time_rel_err", "n_magnitude",
                          "n_time", "censored_frac"), table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +430,7 @@ def _finite_rate_runs(cfg, tag):
 
 
 def _run_mass_martingale(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     table = []
     for rho, initial, obs in _finite_rate_runs(cfg, "mass"):
         start_u = float(initial.u.sum())
@@ -406,35 +438,28 @@ def _run_mass_martingale(cfg):
         ok_mask = ~obs.aborted
         mean_u, se_u = pooled_mean_se(obs.total_u[ok_mask])
         mean_v, se_v = pooled_mean_se(obs.total_v[ok_mask])
-        dt_run = clock.lap()
         table.append((rho, mean_u, se_u, mean_v, se_v, start_u, start_v,
                       int(obs.aborted.sum())))
-        rows.append(CriterionRow(
-            f"mean total mass u rho={rho}", abs(mean_u - start_u), 0.0,
-            3 * se_u, abs(mean_u - start_u) < 3 * se_u, dt_run))
-        rows.append(CriterionRow(
-            f"mean total mass v rho={rho}", abs(mean_v - start_v), 0.0,
-            3 * se_v, abs(mean_v - start_v) < 3 * se_v, 0.0))
+        checks.agree(f"mean total mass u rho={rho}", (mean_u, se_u),
+                     (start_u, 0.0))
+        checks.agree(f"mean total mass v rho={rho}", (mean_v, se_v),
+                     (start_v, 0.0))
     tables = {"mass": (("rho", "mean_u", "se_u", "mean_v", "se_v",
                         "start_u", "start_v", "aborted"), table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 def _run_bracket_ratio(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     table = []
     for rho, _, obs in _finite_rate_runs(cfg, "bracket"):
         br = realized_brackets(obs)
         table.append((rho, br["quad_u"], br["quad_v"], br["cross"],
                       br["predicted_quad"], br["ratio"], br["n_replicas"]))
-        err = abs(br["ratio"] - rho)
-        rows.append(CriterionRow(
-            f"bracket ratio rho={rho}", br["ratio"], rho, 0.05,
-            err <= 0.05, clock.lap()))
+        checks.within(f"bracket ratio rho={rho}", br["ratio"], rho, 0.05)
     tables = {"brackets": (("rho", "quad_u", "quad_v", "cross",
                             "predicted_quad", "ratio", "n_replicas"), table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +467,7 @@ def _run_bracket_ratio(cfg):
 
 
 def _run_duality_moment(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     g = build_graph(cfg.graph)
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.5, 0.0)
     initial, u_sites, v_sites = moment_dual_setup(cfg, g)
@@ -464,56 +488,35 @@ def _run_duality_moment(cfg):
             g, cfg.gamma, rho, initial, u_sites, v_sites, t,
             replicas=cfg.replicas, seed=cfg.seed, rng_tag=f"dual-walk-{rho}")
         gap = abs(mean_e - mean_d)
-        tol = 1.96 * se_e + 1.96 * se_d  # 95% CIs overlap
         table.append((rho, mean_e, se_e, mean_d, se_d, gap))
-        rows.append(CriterionRow(
-            f"moment duality rho={rho}", gap, 0.0, tol, gap <= tol,
-            clock.lap()))
+        # the two 95% confidence intervals overlap
+        checks.within(f"moment duality rho={rho}", gap, 0.0,
+                      1.96 * se_e + 1.96 * se_d)
     tables = {"moments": (("rho", "euler_mean", "euler_se", "dual_mean",
                            "dual_se", "gap"), table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 def _run_duality_self(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     g = build_graph(cfg.graph)
-    n = g.n_sites
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[0] = 1.0
-    v[min(1, n - 1)] = 0.8
-    if n > 2:
-        u[2] = 0.5
-    if n > 3:
-        v[3] = 0.5
-    x0 = initial_pair(cfg, g, PairField(u, v))
-    uy = np.zeros(n)
-    vy = np.zeros(n)
-    uy[0] = 0.4
-    if n > 2:
-        uy[2] = 0.3
-    vy[min(1, n - 1)] = 0.2
-    if n > 3:
-        vy[3] = 0.5
-    y0 = initial_pair(cfg, g, PairField(uy, vy), field="initial_y")
+    x0 = initial_pair(cfg, g, _sparse_pair(g, {0: 1.0, 2: 0.5},
+                                           {1: 0.8, 3: 0.5}))
+    y0 = initial_pair(cfg, g, _sparse_pair(g, {0: 0.4, 2: 0.3},
+                                           {1: 0.2, 3: 0.5}), "initial_y")
     chk = selfdual_check(g, sde_config(cfg), x0, y0)
-    dt_run = clock.lap()
-    rows.append(CriterionRow(
-        "self-duality real gap", abs(chk["gap_re"]), 0.0,
-        3 * chk["se_gap_re"], abs(chk["gap_re"]) < 3 * chk["se_gap_re"],
-        dt_run))
-    rows.append(CriterionRow(
-        "self-duality imaginary gap", abs(chk["gap_im"]), 0.0,
-        3 * chk["se_gap_im"], abs(chk["gap_im"]) < 3 * chk["se_gap_im"], 0.0))
-    table = [(chk["mean_evolved_x"].real, chk["mean_evolved_x"].imag,
-              chk["mean_evolved_y"].real, chk["mean_evolved_y"].imag,
-              chk["gap_re"], chk["gap_im"], chk["se_gap_re"],
-              chk["se_gap_im"], chk["aborted"])]
+    mx, my = chk["mean_evolved_x"], chk["mean_evolved_y"]
+    sx, sy = chk["se_evolved_x"], chk["se_evolved_y"]
+    checks.agree("self-duality real gap", (mx.real, sx[0]), (my.real, sy[0]))
+    checks.agree("self-duality imaginary gap", (mx.imag, sx[1]),
+                 (my.imag, sy[1]))
+    table = [(mx.real, mx.imag, my.real, my.imag, chk["gap_re"],
+              chk["gap_im"], chk["se_gap_re"], chk["se_gap_im"],
+              chk["aborted"])]
     tables = {"selfdual": (("evolved_x_re", "evolved_x_im", "evolved_y_re",
                             "evolved_y_im", "gap_re", "gap_im", "se_gap_re",
                             "se_gap_im", "aborted"), table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +524,7 @@ def _run_duality_self(cfg):
 
 
 def _run_gamma_limit(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     gammas = (1.0, 10.0, 100.0)
     rho = cfg.rho
     n = int(cfg.replicas)
@@ -551,23 +553,17 @@ def _run_gamma_limit(cfg):
         q99s.append(q99)
         table.append((gamma, du, dv, q99, float(res["absorbed"].mean()),
                       float(np.mean(res["occupation"])), n))
-    step_u = max(b - a for a, b in zip(ks_u[:-1], ks_u[1:]))
-    step_v = max(b - a for a, b in zip(ks_v[:-1], ks_v[1:]))
-    step_q = max(b - a for a, b in zip(q99s[:-1], q99s[1:]))
-    dt_run = clock.lap()
-    rows.append(CriterionRow(
-        "terminal KS strictly decreasing (U axis)", step_u, 0.0, 0.0,
-        step_u < 0.0, dt_run))
-    rows.append(CriterionRow(
-        "terminal KS strictly decreasing (V axis)", step_v, 0.0, 0.0,
-        step_v < 0.0, 0.0))
-    rows.append(CriterionRow(
-        "collision time q99 non-increasing", step_q, 0.0, 0.0,
-        step_q <= 0.0, 0.0))
+    def max_step(xs):
+        return max(b - a for a, b in zip(xs[:-1], xs[1:]))
+
+    checks.below("terminal KS strictly decreasing (U axis)", max_step(ks_u))
+    checks.below("terminal KS strictly decreasing (V axis)", max_step(ks_v))
+    checks.below("collision time q99 non-increasing", max_step(q99s),
+                 strict=False)
     tables = {"ladder": (("gamma", "ks_u", "ks_v", "q99_collision",
                           "absorbed_frac", "mean_occupation", "replicas"),
                          table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 # ---------------------------------------------------------------------------
@@ -575,27 +571,13 @@ def _run_gamma_limit(cfg):
 
 
 def _default_boundary(cfg, g):
-    n = g.n_sites
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[0] = 1.0
-    if n > 2:
-        u[2] = 0.5
-    v[min(1, n - 1)] = 0.8
-    if n > 3:
-        v[3] = 0.3
-    start = initial_pair(cfg, g, PairField(u, v))
+    start = initial_pair(cfg, g, _sparse_pair(g, {0: 1.0, 2: 0.5},
+                                              {1: 0.8, 3: 0.3}))
     return BoundaryField(start.u, start.v)
 
 
-def _moment_obs(fields, power=0.8):
-    vals = fields[:, 0] ** power
-    return pooled_mean_se(vals)
-
-
 def _run_trotter_refine(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     g = build_graph(cfg.graph)
     start = _default_boundary(cfg, g)
     eps_ladder = (cfg.eps, cfg.eps / 2.0)
@@ -606,26 +588,19 @@ def _run_trotter_refine(cfg):
         res = trotter_simulate(g, cfg.rho, start, cfg.horizon, eps,
                                replicas=cfg.replicas, seed=cfg.seed,
                                rng_tag=f"refine-{eps}")
-        m, se = _moment_obs(res["u"])
+        m, se = pooled_mean_se(res["u"][:, 0] ** 0.8)
         means.append((m, se))
         max_prod = max(max_prod, float(np.max(res["u"] * res["v"])))
         table.append((eps, m, se, cfg.replicas))
-    gap = abs(means[0][0] - means[1][0])
-    tol = 3 * math.hypot(means[0][1], means[1][1])
-    dt_run = clock.lap()
-    rows.append(CriterionRow(
-        f"Trotter refinement Cauchy gap eps={eps_ladder[0]}->"
-        f"{eps_ladder[1]}", gap, 0.0, tol, gap < tol, dt_run))
-    rows.append(CriterionRow(
-        "boundary constraint u*v = 0 (exact)", max_prod, 0.0, 0.0,
-        max_prod == 0.0, 0.0))
+    checks.agree(f"Trotter refinement Cauchy gap eps={eps_ladder[0]}->"
+                 f"{eps_ladder[1]}", *means)
+    checks.within("boundary constraint u*v = 0 (exact)", max_prod, 0.0, 0.0)
     tables = {"refine": (("eps", "mean_u0_pow08", "se", "replicas"), table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 def _run_pdmp_vs_trotter(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     g = build_graph(cfg.graph)
     # pdmp_simulate, which runs first, rejects a start off the boundary set
     start = initial_pair(cfg, g, PairField(np.array([2.0, 0.0]),
@@ -639,7 +614,7 @@ def _run_pdmp_vs_trotter(cfg):
                             replicas=cfg.replicas, seed=cfg.seed,
                             flow_substep=cfg.flow_substep,
                             rng_tag=f"pvt-pdmp-{eps}")
-        m, se = _moment_obs(res["u"])
+        m, se = pooled_mean_se(res["u"][:, 0] ** 0.8)
         m1, se1 = pooled_mean_se(res["u"][:, 0])
         stats_p.append((m, se))
         max_prod = max(max_prod, float(np.max(res["u"] * res["v"])))
@@ -648,7 +623,7 @@ def _run_pdmp_vs_trotter(cfg):
     n_tr = 5 * cfg.replicas
     res = trotter_simulate(g, cfg.rho, start, cfg.horizon, cfg.eps,
                            replicas=n_tr, seed=cfg.seed, rng_tag="pvt-trotter")
-    m_tr, se_tr = _moment_obs(res["u"])
+    m_tr, se_tr = pooled_mean_se(res["u"][:, 0] ** 0.8)
     m1_tr, se1_tr = pooled_mean_se(res["u"][:, 0])
     max_prod = max(max_prod, float(np.max(res["u"] * res["v"])))
     table.append(("trotter", cfg.eps, m_tr, se_tr, m1_tr, se1_tr, n_tr, 0, 0))
@@ -656,48 +631,34 @@ def _run_pdmp_vs_trotter(cfg):
     # scales linearly in eps, so 2 m(eps) - m(2 eps) cancels the leading term
     m_ex = 2.0 * stats_p[1][0] - stats_p[0][0]
     se_ex = math.sqrt(4.0 * stats_p[1][1] ** 2 + stats_p[0][1] ** 2)
-    gap = abs(m_ex - m_tr)
-    tol = 3 * math.hypot(se_ex, se_tr)
-    dt_run = clock.lap()
-    rows.append(CriterionRow(
-        f"PDMP (extrapolated eps={eps_ladder[0]},{eps_ladder[1]}) vs "
-        "Trotter one-site moment", gap, 0.0, tol, gap < tol, dt_run))
-    rows.append(CriterionRow(
-        "boundary constraint u*v = 0 (exact)", max_prod, 0.0, 0.0,
-        max_prod == 0.0, 0.0))
+    checks.agree(f"PDMP (extrapolated eps={eps_ladder[0]},{eps_ladder[1]}) "
+                 "vs Trotter one-site moment", (m_ex, se_ex), (m_tr, se_tr))
+    checks.within("boundary constraint u*v = 0 (exact)", max_prod, 0.0, 0.0)
     tables = {"compare": (("method", "eps", "mean_u0_pow08", "se", "mean_u0",
                            "se_u0", "replicas", "jumps", "violations"),
                           table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 def _run_martingale_functional(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     g = build_graph(cfg.graph)
-    n = g.n_sites
     start = _default_boundary(cfg, g)
-    y1 = np.zeros(n)
-    y2 = np.zeros(n)
-    y1[0] = 0.5
-    y2[min(2, n - 1)] = 0.8
-    res = martingale_functional_check(g, cfg.rho, start, y1, y2,
+    y = _sparse_pair(g, {0: 0.5}, {min(2, g.n_sites - 1): 0.8})
+    res = martingale_functional_check(g, cfg.rho, start, y.u, y.v,
                                       horizon=cfg.horizon, eps=cfg.eps,
                                       replicas=cfg.replicas, seed=cfg.seed)
     m = res["mean"]
     se_re, se_im = res["se"]
-    dt_run = clock.lap()
-    rows.append(CriterionRow(
-        "martingale functional mean (real)", abs(m.real), 0.0, 3 * se_re,
-        abs(m.real) < 3 * se_re, dt_run))
-    rows.append(CriterionRow(
-        "martingale functional mean (imag)", abs(m.imag), 0.0, 3 * se_im,
-        abs(m.imag) < 3 * se_im, 0.0))
+    checks.agree("martingale functional mean (real)", (m.real, se_re),
+                 (0.0, 0.0))
+    checks.agree("martingale functional mean (imag)", (m.imag, se_im),
+                 (0.0, 0.0))
     table = [(m.real, m.imag, se_re, se_im, res["replicas"],
               res["effective_horizon"])]
     tables = {"martingale": (("mean_re", "mean_im", "se_re", "se_im",
                               "replicas", "effective_horizon"), table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 # ---------------------------------------------------------------------------
@@ -705,43 +666,29 @@ def _run_martingale_functional(cfg):
 
 
 def _run_voter_limit(cfg):
-    rows = []
-    clock = _Clock()
+    checks = Checks()
     g = build_graph(cfg.graph)
-    n = g.n_sites
     eta0 = initial_pair(cfg, g).u
-    pairs = [tuple(p) for p in cfg.pairs] if cfg.pairs else [(0, 1),
-                                                             (0, n // 2)]
+    pairs = ([tuple(p) for p in cfg.pairs] if cfg.pairs
+             else [(0, 1), (0, g.n_sites // 2)])
     cmp = voter_vs_sbminf(g, eta0, cfg.horizon, pairs,
                           replicas=cfg.replicas, seed=cfg.seed,
                           trotter_eps=cfg.eps)
-    dt_run = clock.lap()
-    table = []
-    routes = ("voter", "trotter", "pdmp", "coalescing")
-    for route in routes:
-        for pair, (m, se) in cmp[route].items():
-            table.append((route, pair[0], pair[1], m, se))
+    table = [(route, x, y, m, se)
+             for route in ("voter", "trotter", "pdmp", "coalescing")
+             for (x, y), (m, se) in cmp[route].items()]
     for ra, rb in (("voter", "trotter"), ("voter", "pdmp"),
                    ("trotter", "pdmp")):
         for pair in pairs:
-            ma, sa = cmp[ra][pair]
-            mb, sb = cmp[rb][pair]
-            gap = abs(ma - mb)
-            tol = 3 * math.hypot(sa, sb)
-            rows.append(CriterionRow(
-                f"two-point {ra} vs {rb} pair={pair}", gap, 0.0, tol,
-                gap < tol, dt_run))
-            dt_run = 0.0
-    rows.append(CriterionRow(
-        "jump-process magnitudes exactly 1",
-        1.0 if cmp["pdmp_magnitudes_exact"] else 0.0, 1.0, 0.0,
-        cmp["pdmp_magnitudes_exact"], clock.lap()))
-    rows.append(CriterionRow(
-        "jump-process rates equal voter rates (exact)",
-        1.0 if cmp["pdmp_rates_exact"] else 0.0, 1.0, 0.0,
-        cmp["pdmp_rates_exact"], 0.0))
+            checks.agree(f"two-point {ra} vs {rb} pair={pair}",
+                         cmp[ra][pair], cmp[rb][pair])
+    for name, key in (("jump-process magnitudes exactly 1",
+                       "pdmp_magnitudes_exact"),
+                      ("jump-process rates equal voter rates (exact)",
+                       "pdmp_rates_exact")):
+        checks.within(name, 1.0 if cmp[key] else 0.0, 1.0, 0.0)
     tables = {"twopoint": (("route", "x", "y", "mean", "se"), table)}
-    return rows, tables
+    return checks.rows, tables
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,8 @@ def trotter_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     smallest multiple of eps at or above the requested one (reported in the
     result). times are snapped to the step grid.
     """
+    if not eps > 0:
+        raise ValueError(f"Trotter step eps must be > 0, got {eps!r}")
     params = ExitLawParams(rho)
     n = g.n_sites
     u0 = as_field(g, np.asarray(initial.u, dtype=float))
@@ -294,6 +296,8 @@ def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     flow_substep, after one whose thinning candidates all stayed under it.
     record_events collects the JumpEvent list of replica 0 only.
     """
+    if not flow_substep > 0:
+        raise ValueError(f"flow_substep must be > 0, got {flow_substep!r}")
     measure = truncate_nu(rho, eps)
     n = g.n_sites
     u0 = as_field(g, np.asarray(initial.u, dtype=float))
@@ -340,6 +344,8 @@ def martingale_functional_check(g, rho, initial, y1, y2, horizon, eps,
     y2 = as_field(g, np.asarray(y2, dtype=float))
     if np.any((y1 != 0) & (y2 != 0)):
         raise ValueError("test pair must satisfy y1*y2 = 0 per site")
+    if not eps > 0:
+        raise ValueError(f"Trotter step eps must be > 0, got {eps!r}")
     params = ExitLawParams(rho)
     P = heat_semigroup(g, eps)
     u0 = as_field(g, np.asarray(initial.u, dtype=float))

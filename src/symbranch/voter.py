@@ -18,6 +18,7 @@ from symbranch.duals import coalescing_dual_estimate
 from symbranch.lattice import as_field
 from symbranch.sbm_infinite import (BoundaryField, intensity, pdmp_simulate,
                                     trotter_simulate)
+from symbranch.stats import pooled_mean_se
 
 
 @dataclass
@@ -81,12 +82,8 @@ def gillespie_simulate(g, eta0, horizon, replicas=1, seed=0, times=None,
 
 def two_point_functions(fields, pairs):
     """Mean and SE of field(x)*field(y) per requested pair, fields (R, n)."""
-    out = {}
-    for (x, y) in pairs:
-        vals = (fields[:, x] * fields[:, y]).astype(float)
-        out[(x, y)] = (float(vals.mean()),
-                       float(vals.std(ddof=1) / math.sqrt(vals.size)))
-    return out
+    return {(x, y): pooled_mean_se(fields[:, x] * fields[:, y])
+            for (x, y) in pairs}
 
 
 def voter_vs_sbminf(g, initial, horizon, pairs, replicas=4000, seed=0,

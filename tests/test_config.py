@@ -59,6 +59,39 @@ def test_dt_must_be_positive_when_set():
         apply_overrides(ExperimentConfig(), ["dt=0"])
 
 
+def test_step_keys_must_be_positive():
+    # a zero step never advances, a negative one runs zero steps
+    for key, bad in (("eps", 0), ("eps", -0.1), ("flow_substep", 0.0),
+                     ("flow_substep", -1e-3), ("horizon", -1.0)):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            ExperimentConfig(**{key: bad})
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            apply_overrides(ExperimentConfig(), [f"{key}={bad}"])
+    assert ExperimentConfig(horizon=0.0).horizon == 0.0
+
+
+def test_site_indices_are_range_checked():
+    # default graph: the 8-site torus
+    for key, good, bads in (
+            ("probes", [0, 7], ([8], [-1], [1.5], [True], 3)),
+            ("sites", [0, 7], ([0, 8], [-1], ["0"])),
+            ("u_sites", [7], ([8], [-1])),
+            ("v_sites", [0, 0], ([99], [-8])),
+            ("pairs", [[0, 7], [3, 3]],
+             ([[0, -1]], [[0, 99]], [0, 1], [[0, 1, 2]], [[0]]))):
+        assert getattr(ExperimentConfig(**{key: good}), key) == good
+        for bad in bads:
+            with pytest.raises(ValueError, match=f"^{key} must be a list"):
+                ExperimentConfig(**{key: bad})
+    # the bound is the site count of the configured graph
+    dumbbell = {"kind": "dumbbell", "rate": 0.5}
+    ExperimentConfig(graph=dumbbell, u_sites=[1], v_sites=[0])
+    with pytest.raises(ValueError, match="u_sites.*\\[0, 2\\)"):
+        ExperimentConfig(graph=dumbbell, u_sites=[2])
+    with pytest.raises(ValueError, match="pairs"):
+        apply_overrides(ExperimentConfig(), ["pairs=[[0,-1]]"])
+
+
 def test_numeric_keys_are_type_checked():
     # a --set value that is not JSON stays a string; bool is an int subclass
     for key in ("gamma", "rho", "horizon", "dt", "eps", "trunc_eps",

@@ -6,9 +6,9 @@ import re
 
 import pytest
 
-from symbranch import cli
+from symbranch import cli, sbm_infinite
 from symbranch.config import ExperimentConfig
-from symbranch.experiments import (EXPERIMENTS, default_config,
+from symbranch.experiments import (EXPERIMENTS, Checks, default_config,
                                    run_experiment, write_artifacts)
 
 LINE_RE = re.compile(
@@ -61,6 +61,77 @@ def test_artifact_schema(tmp_path):
     for p in csvs:
         head = open(tmp_path / p).readline()
         assert "," in head
+
+
+def test_checks_verdicts_at_equality():
+    # strict models FAIL at equality, non-strict ones PASS
+    c = Checks()
+    c.within("within", 1.5, 1.0, 0.5)
+    c.within("within strict", 1.5, 1.0, 0.5, strict=True)
+    c.within("within rel", 3.0, 2.0, 0.5, rel=True)
+    c.within("within rel strict", 3.0, 2.0, 0.5, strict=True, rel=True)
+    c.agree("agree", (3.0, 1.0), (0.0, 0.0))
+    c.agree("agree inside", (0.0, 0.6), (2.9, 0.8))
+    c.below("below strict", 0.0)
+    c.below("below", 0.0, strict=False)
+    c.below("below negative", -1e-12)
+    c.pvalue("pvalue", 0.001, 0.001)
+    c.pvalue("pvalue above", 0.0011, 0.001)
+    assert {r.name: r.passed for r in c.rows} == {
+        "within": True, "within strict": False, "within rel": True,
+        "within rel strict": False, "agree": False, "agree inside": True,
+        "below strict": False, "below": True, "below negative": True,
+        "pvalue": False, "pvalue above": True}
+    assert [r.model for r in c.rows] == ["within"] * 4 + ["agree"] * 2 + \
+        ["below"] * 3 + ["pvalue"] * 2
+    rel = c.rows[2]
+    assert (rel.observed, rel.target, rel.tolerance) == (3.0, 2.0, 1.0)
+    agree = c.rows[4]
+    assert (agree.observed, agree.target, agree.tolerance) == (3.0, 0.0, 3.0)
+    assert c.rows[-1].target == 1.0
+    assert all(r.runtime >= 0.0 for r in c.rows)
+
+
+def test_checks_nan_fails_every_model():
+    nan = float("nan")
+    c = Checks()
+    for strict in (False, True):
+        c.within("within", nan, 0.0, 1.0, strict=strict)
+        c.within("within rel", nan, 1.0, 0.1, strict=strict, rel=True)
+        c.below("below", nan, strict=strict)
+    c.agree("agree", (nan, 1.0), (0.0, 0.0))
+    c.agree("agree se", (0.0, nan), (0.0, 0.0))
+    c.pvalue("pvalue", nan, 0.001)
+    assert len(c.rows) == 9
+    assert not any(r.passed for r in c.rows)
+
+
+# test_bench_contract's tiny sizes, plus the two experiments it leaves out
+_TINY = {
+    "trotter-refine": dict(replicas=200),
+    "voter-limit": dict(replicas=40),
+    "mass-martingale": dict(replicas=50, horizon=0.05),
+    "bracket-ratio": dict(replicas=50, horizon=0.05),
+    "gamma-limit": dict(replicas=50, horizon=0.05),
+    "duality-moment": dict(replicas=200, horizon=0.1),
+    "duality-self": dict(replicas=50, horizon=0.05),
+    "exitlaw-validate": dict(replicas=300, rho_grid=[-0.5]),
+    "pdmp-vs-trotter": dict(replicas=50),
+    "martingale-functional": dict(replicas=200),
+    "moment-curve": dict(replicas=2000, rho_grid=[-0.5], dt=0.05),
+}
+
+
+def test_every_row_has_a_model_that_stays_out_of_artifacts(tmp_path):
+    assert set(_TINY) == set(EXPERIMENTS)
+    for name in EXPERIMENTS:
+        rep = run_experiment(default_config(name, **_TINY[name]),
+                             out_dir=tmp_path)
+        assert rep.criteria, name
+        for r in rep.criteria:
+            assert r.model in ("within", "agree", "below", "pvalue"), r
+        text = (tmp_path / f"{name}.json").read_text()
+        assert '"model"' not in text and '"runtime"' not in text
 
 
 def test_cli_pass_exit_zero(tmp_path, capsys):
@@ -226,6 +297,38 @@ def test_cli_dt_zero_is_config_error(capsys):
     assert cli.main(["exitlaw-validate", "--set", "dt=0", "--set",
                      "replicas=300", "--set", "rho_grid=[-0.5]"]) == 2
     assert "dt" in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the simulation must not start")
+
+
+def test_cli_nonpositive_step_is_config_error(capsys, monkeypatch):
+    # flow_substep=0 used to hang the jump process, eps=0 raised
+    # ZeroDivisionError, and eps < 0 or horizon < 0 ran zero steps into a
+    # degenerate 0 < 0 FAIL; a started jump process fails fast here
+    monkeypatch.setattr(sbm_infinite, "_pdmp_chunk", _never)
+    for argv in (["pdmp-vs-trotter", "--set", "flow_substep=0"],
+                 ["trotter-refine", "--set", "eps=0"],
+                 ["trotter-refine", "--set", "eps=-0.1"],
+                 ["martingale-functional", "--set", "horizon=-1"]):
+        assert cli.main(argv) == 2, argv
+        key = argv[-1].split("=")[0]
+        assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_cli_site_out_of_range_is_config_error(capsys):
+    # pairs=[[0,-1]] used to read site 7 and PASS; the others raised
+    # IndexError and exited 1, the criterion-FAIL code
+    for argv in (["voter-limit", "--set", "pairs=[[0,-1]]"],
+                 ["voter-limit", "--set", "pairs=[[0,99]]"],
+                 ["duality-moment", "--set", "u_sites=[5]"],
+                 ["duality-moment", "--set", "v_sites=[-1]"],
+                 ["sbm", "run", "--set", "probes=[9]"],
+                 ["dual", "coalesce", "--set", "sites=[0,9]"]):
+        assert cli.main(argv + ["--set", "replicas=40"]) == 2, argv
+        key = argv[-1].split("=")[0]
+        assert f"{key} must be a list" in capsys.readouterr().err
 
 
 def test_cli_non_numeric_set_is_config_error(capsys):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbranch import rng as rngmod
+from symbranch import sbm_infinite
 from symbranch.config import build_graph
+from symbranch.experiments import default_config, run_experiment
 from symbranch.exitlaw import ExitLawParams, truncate_nu
 from symbranch.lattice import SiteGraph, build_dumbbell, heat_semigroup
 from symbranch.sbm_infinite import (BoundaryField, NegativeIntensity,
@@ -286,3 +288,56 @@ def test_martingale_check_rejects_overlapping_pair(ring8):
     with pytest.raises(ValueError):
         martingale_functional_check(ring8, 0.3, init, y1, y2, horizon=0.2,
                                     eps=0.1, replicas=8, seed=10)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the simulation must not start")
+
+
+def test_nonpositive_steps_raise(ring8, monkeypatch):
+    # a zero substep never advances the jump-process clock: a reached
+    # simulation fails fast here instead of hanging
+    monkeypatch.setattr(sbm_infinite, "_pdmp_chunk", _never)
+    init = _efield(8, u_at=[(0, 1.0)], v_at=[(4, 1.0)])
+    for bad in (0.0, -0.01):
+        with pytest.raises(ValueError, match="flow_substep"):
+            pdmp_simulate(ring8, 0.0, init, 0.5, 0.1, flow_substep=bad)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="eps"):
+            trotter_simulate(ring8, 0.0, init, 0.5, eps)
+        with pytest.raises(ValueError, match="eps"):
+            martingale_functional_check(ring8, 0.3, init, np.eye(8)[0],
+                                        np.eye(8)[2], horizon=0.5, eps=eps)
+
+
+def _row(cfg, prefix):
+    rows = [r for r in run_experiment(cfg).criteria
+            if r.name.startswith(prefix)]
+    assert len(rows) == 1
+    return rows[0]
+
+
+def test_martingale_functional_row_catches_a_wrong_exit_law(monkeypatch):
+    # planted defect: the exit resample at rho = 0 instead of 0.3; the real
+    # row must FAIL (0.041 against a tolerance of 0.005) and pass without it
+    cfg = default_config("martingale-functional")
+    name = "martingale functional mean (real)"
+    assert _row(cfg, name).passed
+    exact = sbm_infinite.ExitLawParams
+    monkeypatch.setattr(sbm_infinite, "ExitLawParams",
+                        lambda rho: exact(0.0))
+    row = _row(cfg, name)
+    assert row.model == "agree" and not row.passed
+    assert row.observed > 4 * row.tolerance
+
+
+def test_trotter_refine_boundary_row_catches_a_skipped_exit(monkeypatch):
+    # planted defect: the Trotter step keeps the heat-flowed pair instead of
+    # resampling it on the boundary set
+    cfg = default_config("trotter-refine")
+    name = "boundary constraint u*v = 0 (exact)"
+    assert _row(cfg, name).passed
+    monkeypatch.setattr(sbm_infinite, "sample_exit_batch",
+                        lambda params, u, v, rng: (u, v))
+    row = _row(cfg, name)
+    assert not row.passed and row.observed > 0.0
