@@ -16,7 +16,7 @@ from symbranch.lattice import build_dumbbell, build_torus
 _REAL_KEYS = ("gamma", "rho", "horizon", "dt", "eps", "trunc_eps",
               "flow_substep")
 _INT_KEYS = ("replicas", "seed")
-_SITE_KEYS = ("probes", "sites", "u_sites", "v_sites", "pairs")
+_SITE_KEYS = ("u_sites", "v_sites", "pairs")
 
 _GRAPH_KEYS = {
     "torus": {"kind", "d", "L"},
@@ -35,17 +35,13 @@ class ExperimentConfig:
     eps: float = 0.1          # Trotter step
     trunc_eps: float = 0.1    # jump-measure truncation
     flow_substep: float = 0.01
-    method: str = "trotter"   # infinite-rate simulator: trotter | pdmp
     replicas: int = 1000
     seed: int = 0
-    probes: list = None
-    times: list = None
     rho_grid: list = None     # grid experiments; None = experiment default
     initial: dict = None      # {"u": [...], "v": [...]} or {"eta": [...]}
     initial_y: dict = None    # second state for self-duality runs
     u_sites: list = None      # moment-dual site multisets
     v_sites: list = None
-    sites: list = None        # coalescing-dual sites
     pairs: list = None        # two-point function pairs [[x, y], ...]
 
     def __post_init__(self):
@@ -60,7 +56,7 @@ class ExperimentConfig:
                 val = getattr(self, name)
                 if name == "dt" and val is None:
                     continue
-                if isinstance(val, bool) or not isinstance(val, kind):
+                if not _is_a(val, kind):
                     raise ValueError(f"{name} must be {what}, got {val!r}")
                 if not math.isfinite(val):
                     raise ValueError(f"{name} must be finite, got {val!r}")
@@ -70,19 +66,26 @@ class ExperimentConfig:
             val = getattr(self, name)
             if not val > 0:
                 raise ValueError(f"{name} must be > 0, got {val!r}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon!r}")
+        # a zero horizon leaves both routes of a check at the exact start
+        if not self.horizon > 0:
+            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.method not in ("trotter", "pdmp"):
-            raise ValueError("method must be 'trotter' or 'pdmp'")
         if self.rho_grid is not None:
-            bad = [r for r in self.rho_grid if not -1.0 <= float(r) <= 1.0]
+            grid = self.rho_grid
+            if not isinstance(grid, (list, tuple)) or not all(
+                    _is_a(r, numbers.Real) for r in grid):
+                raise ValueError(f"rho_grid must be a list of real numbers, "
+                                 f"got {grid!r}")
+            bad = [r for r in grid if not -1.0 <= r <= 1.0]
             if bad:
                 raise ValueError(f"rho_grid values outside [-1, 1]: {bad}")
         for name in ("initial", "initial_y"):
             blk = getattr(self, name)
             if blk is not None:
+                if not isinstance(blk, dict):
+                    raise ValueError(f"{name} must be a JSON object, "
+                                     f"got {blk!r}")
                 extra = set(blk) - {"u", "v", "eta"}
                 if extra:
                     paths = ", ".join(sorted(f"{name}.{k}" for k in extra))
@@ -98,8 +101,8 @@ class ExperimentConfig:
                 flat = [s for p in flat for s in (
                     p if isinstance(p, (list, tuple)) and len(p) == 2
                     else [None])]
-            if not all(isinstance(s, numbers.Integral) and not isinstance(
-                    s, bool) and 0 <= s < n for s in flat):
+            if not all(_is_a(s, numbers.Integral) and 0 <= s < n
+                       for s in flat):
                 what = "[x, y] pairs of sites" if name == "pairs" else "sites"
                 raise ValueError(f"{name} must be a list of {what} in "
                                  f"[0, {n}) on this graph, got {blk!r}")
@@ -108,16 +111,28 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
+def _is_a(x, kind):
+    """isinstance(x, kind), except that a bool is neither real nor integer."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def validate_graph_spec(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("graph spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    if kind not in _GRAPH_KEYS:
+    if not isinstance(kind, str) or kind not in _GRAPH_KEYS:
         raise ValueError(f"unknown graph kind {kind!r}: expected torus or dumbbell")
     extra = set(spec) - _GRAPH_KEYS[kind]
     if extra:
         paths = ", ".join(sorted(f"graph.{k}" for k in extra))
         raise ValueError(f"unknown config keys: {paths}")
+    for key in ("d", "L"):
+        if key in spec and not _is_a(spec[key], numbers.Integral):
+            raise ValueError(f"graph.{key} must be an integer, "
+                             f"got {spec[key]!r}")
+    rate = spec.get("rate")
+    if "rate" in spec and not (_is_a(rate, numbers.Real) and 0 < rate < math.inf):
+        raise ValueError(f"graph.rate must be a finite real > 0, got {rate!r}")
 
 
 def build_graph(spec):

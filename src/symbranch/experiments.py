@@ -110,15 +110,6 @@ def _fmt_cell(x):
     return str(x)
 
 
-def write_csv(path, header, rows):
-    """Write one CSV table: a header line, then one line per row."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt_cell(c) for c in row])
-
-
 def write_artifacts(report, out_dir):
     """Write the JSON report and the per-table CSVs; returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -131,7 +122,11 @@ def write_artifacts(report, out_dir):
     for name in sorted(report.tables):
         header, rows = report.tables[name]
         cpath = os.path.join(out_dir, f"{report.experiment}_{name}.csv")
-        write_csv(cpath, header, rows)
+        with open(cpath, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            for row in rows:
+                w.writerow([_fmt_cell(c) for c in row])
         paths.append(cpath)
     return paths
 
@@ -179,7 +174,7 @@ class Checks:
 
 
 # ---------------------------------------------------------------------------
-# config helpers, shared with the module runners of the CLI
+# config helpers
 
 
 def initial_pair(cfg, g, default=None, field="initial"):
@@ -223,15 +218,6 @@ def sde_config(cfg, **overrides):
                   dt=cfg.dt, replicas=cfg.replicas, seed=cfg.seed)
     kwargs.update(overrides)
     return SdeConfig(**kwargs)
-
-
-def moment_dual_setup(cfg, g):
-    """Start pair and u/v walker sites of a moment-dual run."""
-    initial = initial_pair(cfg, g, PairField(np.full(g.n_sites, 1.0),
-                                             np.full(g.n_sites, 0.5)))
-    u_sites = list(cfg.u_sites) if cfg.u_sites else [0]
-    v_sites = list(cfg.v_sites) if cfg.v_sites else [min(1, g.n_sites - 1)]
-    return initial, u_sites, v_sites
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +456,10 @@ def _run_duality_moment(cfg):
     checks = Checks()
     g = build_graph(cfg.graph)
     grid = tuple(cfg.rho_grid) if cfg.rho_grid else (-0.5, 0.0)
-    initial, u_sites, v_sites = moment_dual_setup(cfg, g)
+    initial = initial_pair(cfg, g, PairField(np.full(g.n_sites, 1.0),
+                                             np.full(g.n_sites, 0.5)))
+    u_sites = list(cfg.u_sites) if cfg.u_sites else [0]
+    v_sites = list(cfg.v_sites) if cfg.v_sites else [min(1, g.n_sites - 1)]
     t = cfg.horizon
     table = []
     for rho in grid:

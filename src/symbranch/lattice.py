@@ -23,12 +23,14 @@ class SiteGraph:
         a = np.asarray(self.rates, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("rates must be a square matrix")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("rates must be finite")
         off = a - np.diag(np.diag(a))
         if np.any(off < 0):
             raise ValueError("off-diagonal rates must be nonnegative")
         if not np.allclose(a, a.T, atol=1e-12):
             raise ValueError("rate matrix must be symmetric")
-        if np.max(np.abs(a.sum(axis=1))) > 1e-12:
+        if not np.max(np.abs(a.sum(axis=1))) <= 1e-12:
             raise ValueError("rows must sum to zero")
         object.__setattr__(self, "rates", a)
         # (eigenvalues, orthonormal eigenvectors) of the generator
@@ -42,8 +44,9 @@ class SiteGraph:
 def as_field(g, values):
     """Validate a per-site scalar field (one real per site) against g."""
     f = np.asarray(values, dtype=float)
-    if f.shape[-1] != g.n_sites:
-        raise ValueError(f"field has {f.shape[-1]} entries, graph has {g.n_sites} sites")
+    if f.shape[-1:] != (g.n_sites,):
+        raise ValueError(f"field of shape {f.shape} does not have "
+                         f"{g.n_sites} entries, one per site")
     return f
 
 

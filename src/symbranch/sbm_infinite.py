@@ -110,12 +110,12 @@ def trotter_step(g, params, u, v, eps, rng):
 
 
 def trotter_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
-                     times=None, rng_tag="trotter"):
-    """Trotter trajectories; returns terminal (R, n) fields and snapshots.
+                     rng_tag="trotter"):
+    """Trotter trajectories; returns the terminal (R, n) fields.
 
     Runs ceil(horizon/eps) alternating steps, so the effective horizon is the
     smallest multiple of eps at or above the requested one (reported in the
-    result). times are snapped to the step grid.
+    result).
     """
     if not eps > 0:
         raise ValueError(f"Trotter step eps must be > 0, got {eps!r}")
@@ -124,35 +124,17 @@ def trotter_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     u0 = as_field(g, np.asarray(initial.u, dtype=float))
     v0 = as_field(g, np.asarray(initial.v, dtype=float))
     steps = max(int(math.ceil(horizon / eps - 1e-12)), 0)
-    times = np.asarray(times if times is not None else [], dtype=float)
-    rec_steps = np.unique(np.clip(np.round(times / eps).astype(int), 0, steps))
     out_u = np.empty((replicas, n))
     out_v = np.empty((replicas, n))
-    snaps_u = np.full((replicas, rec_steps.size, n), np.nan)
-    snaps_v = np.full((replicas, rec_steps.size, n), np.nan)
-    rec_pos = {int(s): i for i, s in enumerate(rec_steps)}
     for lo, hi, rng in rngmod.chunk_streams(seed, rng_tag, replicas):
         m = hi - lo
         u = np.tile(u0, (m, 1))
         v = np.tile(v0, (m, 1))
-        if 0 in rec_pos:
-            snaps_u[lo:hi, rec_pos[0]] = u
-            snaps_v[lo:hi, rec_pos[0]] = v
-        for step in range(1, steps + 1):
+        for _ in range(steps):
             u, v = trotter_step(g, params, u, v, eps, rng)
-            if step in rec_pos:
-                snaps_u[lo:hi, rec_pos[step]] = u
-                snaps_v[lo:hi, rec_pos[step]] = v
         out_u[lo:hi] = u
         out_v[lo:hi] = v
-    return {
-        "u": out_u,
-        "v": out_v,
-        "effective_horizon": steps * eps,
-        "times": rec_steps * eps,
-        "snapshots_u": snaps_u,
-        "snapshots_v": snaps_v,
-    }
+    return {"u": out_u, "v": out_v, "effective_horizon": steps * eps}
 
 
 def _flow(u, v, A, m2, bal, dt):

@@ -12,7 +12,6 @@ from symbranch.config import (ExperimentConfig, apply_overrides, build_graph,
 def test_defaults_are_valid():
     cfg = ExperimentConfig()
     assert cfg.graph == {"kind": "torus", "d": 1, "L": 8}
-    assert cfg.method == "trotter"
 
 
 def test_unknown_key_rejected_with_path():
@@ -28,10 +27,25 @@ def test_graph_spec_validation():
     validate_graph_spec({"kind": "dumbbell", "rate": 1.0})
     with pytest.raises(ValueError, match="kind"):
         validate_graph_spec({"d": 1})
-    with pytest.raises(ValueError, match="unknown graph kind"):
-        validate_graph_spec({"kind": "hypercube"})
+    for kind in ("hypercube", [1]):
+        with pytest.raises(ValueError, match="unknown graph kind"):
+            validate_graph_spec({"kind": kind})
     with pytest.raises(ValueError, match="graph.L"):
         validate_graph_spec({"kind": "dumbbell", "L": 4})
+    # a torus side or dimension is an integer and a rate a finite real > 0;
+    # bool is neither, and graph.L=3.7 used to run on L = 3
+    for bad in ({"kind": "torus", "L": 3.7}, {"kind": "torus", "d": 1.5},
+                {"kind": "torus", "L": "4"}, {"kind": "torus", "L": True},
+                {"kind": "dumbbell", "rate": True},
+                {"kind": "dumbbell", "rate": float("inf")},
+                {"kind": "dumbbell", "rate": float("nan")},
+                {"kind": "dumbbell", "rate": 0.0},
+                {"kind": "dumbbell", "rate": "1"}):
+        key = "graph." + next(k for k in bad if k != "kind")
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            validate_graph_spec(bad)
+    validate_graph_spec({"kind": "torus", "d": np.int64(2), "L": 4})
+    validate_graph_spec({"kind": "dumbbell", "rate": 2})
 
 
 def test_build_graph():
@@ -43,10 +57,13 @@ def test_build_graph():
 def test_value_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(replicas=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(method="exact")
-    with pytest.raises(ValueError):
-        ExperimentConfig(rho_grid=[0.0, 1.5])
+    # a grid is a list of reals: bool is not one, and a bare number is not
+    # a list
+    for bad in ([0.0, 1.5], 0.5, [True], ["0.5"], [0.0, None], {"a": 0.5},
+                [float("nan")]):
+        with pytest.raises(ValueError, match="^rho_grid"):
+            ExperimentConfig(rho_grid=bad)
+    assert ExperimentConfig(rho_grid=[-1, 0.5, 1.0]).rho_grid == [-1, 0.5, 1.0]
 
 
 def test_dt_must_be_positive_when_set():
@@ -62,20 +79,22 @@ def test_dt_must_be_positive_when_set():
 def test_step_keys_must_be_positive():
     # a zero step never advances, a negative one runs zero steps
     for key, bad in (("eps", 0), ("eps", -0.1), ("flow_substep", 0.0),
-                     ("flow_substep", -1e-3), ("horizon", -1.0)):
+                     ("flow_substep", -1e-3), ("horizon", -1.0),
+                     ("horizon", 0.0)):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ExperimentConfig(**{key: bad})
         with pytest.raises(ValueError, match=f"^{key} must be"):
             apply_overrides(ExperimentConfig(), [f"{key}={bad}"])
-    assert ExperimentConfig(horizon=0.0).horizon == 0.0
+    # a zero horizon leaves both routes of an agree row at the exact start,
+    # which FAILs through 0 < 0
+    with pytest.raises(ValueError, match="^horizon must be > 0"):
+        ExperimentConfig(horizon=0)
 
 
 def test_site_indices_are_range_checked():
     # default graph: the 8-site torus
     for key, good, bads in (
-            ("probes", [0, 7], ([8], [-1], [1.5], [True], 3)),
-            ("sites", [0, 7], ([0, 8], [-1], ["0"])),
-            ("u_sites", [7], ([8], [-1])),
+            ("u_sites", [7], ([8], [-1], [1.5], [True], 3, ["0"])),
             ("v_sites", [0, 0], ([99], [-8])),
             ("pairs", [[0, 7], [3, 3]],
              ([[0, -1]], [[0, 99]], [0, 1], [[0, 1, 2]], [[0]]))):
@@ -123,12 +142,11 @@ def test_real_keys_must_be_finite():
 
 def test_apply_overrides():
     cfg = ExperimentConfig()
-    out = apply_overrides(cfg, ["gamma=2.5", "graph.L=6", "times=[0.1,0.2]",
-                                "method=pdmp"])
+    out = apply_overrides(cfg, ["gamma=2.5", "graph.L=6",
+                                "rho_grid=[0.1,0.2]"])
     assert out.gamma == 2.5
     assert out.graph["L"] == 6
-    assert out.times == [0.1, 0.2]
-    assert out.method == "pdmp"
+    assert out.rho_grid == [0.1, 0.2]
     # originals untouched
     assert cfg.gamma == 1.0
 
@@ -175,3 +193,8 @@ def test_initial_blocks():
         ExperimentConfig(initial={"eta": [1, 0, 0, 1], "u": [1, 0, 0, 1]})
     with pytest.raises(ValueError, match="entries"):
         start({"u": [1, 2, 3]})
+    for key in ("initial", "initial_y"):
+        for bad in (5, [1.0, 0.0], "u"):
+            with pytest.raises(ValueError, match=f"^{key} must be a JSON "
+                                                 "object"):
+                ExperimentConfig(**{key: bad})

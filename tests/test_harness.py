@@ -1,12 +1,14 @@
 """Experiment harness and CLI contracts: exit codes, artifacts, reports."""
 
+import dataclasses
+import inspect
 import json
 import os
 import re
 
 import pytest
 
-from symbranch import cli, sbm_infinite
+from symbranch import cli, experiments, sbm_infinite
 from symbranch.config import ExperimentConfig
 from symbranch.experiments import (EXPERIMENTS, Checks, default_config,
                                    run_experiment, write_artifacts)
@@ -172,124 +174,43 @@ def test_cli_unknown_experiment_exit_two():
     assert exc.value.code == 2
 
 
-def test_cli_voter_compare_is_gone():
-    # the voter-limit experiment is the one three-route comparison
+# the subcommands that re-ran an experiment's setup without its checks;
+# voter compare went earlier, for the same reason
+_REMOVED_RUNNERS = (["exitlaw", "validate", "--rho", "0.5"], ["sbm", "run"],
+                    ["sbminf", "run"], ["dual", "moment"], ["dual", "coalesce"],
+                    ["dual", "selfdual"], ["voter", "run"],
+                    ["voter", "compare"])
+
+
+@pytest.mark.parametrize("argv", _REMOVED_RUNNERS,
+                         ids=["-".join(a[:2]) for a in _REMOVED_RUNNERS])
+def test_cli_removed_runner_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["voter", "compare"])
+        cli.main(argv)
     assert exc.value.code == 2
 
 
-def test_cli_exitlaw_validate(tmp_path, capsys):
-    args = ["exitlaw", "validate", "--rho", "0.5", "--start", "1,1",
-            "--samples", "4000", "--seed", "7", "--out", str(tmp_path)]
-    assert cli.main(args) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["rho"] == 0.5
-    assert doc["ks_u"] < 0.05 and doc["ks_v"] < 0.05
-    assert abs(doc["mean_u_z"]) < 4.0
-    assert abs(doc["hill_exponent"] - 1.5) < 0.4
-    csv_path = tmp_path / "exitlaw_samples.csv"
-    assert csv_path.read_text().splitlines()[0] == "axis,magnitude"
-    assert (tmp_path / "exitlaw_summary.json").exists()
-
-    # determinism: a rerun reproduces the sample file byte for byte
-    again = tmp_path / "again"
-    cli.main(["exitlaw", "validate", "--rho", "0.5", "--start", "1,1",
-              "--samples", "4000", "--seed", "7", "--out", str(again)])
-    capsys.readouterr()
-    assert csv_path.read_bytes() == (again / "exitlaw_samples.csv").read_bytes()
+def test_cli_removed_config_keys_exit_two(capsys):
+    # no experiment read these keys, yet each one accepted and recorded them
+    for name in EXPERIMENTS:
+        for raw in ("method=pdmp", "probes=[0]", "times=[0.1]", "sites=[0]"):
+            assert cli.main([name, "--set", raw]) == 2, (name, raw)
+            key = raw.split("=")[0]
+            assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
-def test_cli_sbm_run(tmp_path, capsys):
-    cfgp = tmp_path / "c.json"
-    cfgp.write_text(json.dumps({
-        "rho": 0.0, "gamma": 1.0, "horizon": 0.5, "dt": 0.01,
-        "replicas": 64, "seed": 3, "graph": {"kind": "torus", "d": 1, "L": 4},
-    }))
-    assert cli.main(["sbm", "run", "--config", str(cfgp),
-                     "--out", str(tmp_path)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["config"]["replicas"] == 64
-    assert doc["aborted"] == 0 and doc["se_total_u"] > 0
-    lines = (tmp_path / "sbm_fields.csv").read_text().splitlines()
-    assert lines[0] == "replica,time,site,u,v"
-    assert len(lines) == 1 + 64 * 4
+def test_every_config_field_is_read_by_an_experiment():
+    # a knob that no driver reads would be accepted and recorded unused
+    text = inspect.getsource(experiments)
+    for field in dataclasses.fields(ExperimentConfig):
+        assert re.search(rf"\bcfg\.{field.name}\b|\"{field.name}\"",
+                         text), field.name
 
 
 def test_cli_sbm_run_scheme_is_unknown_key(capsys):
     # the finite-rate simulator has one (Euler) scheme and no key to pick it
-    assert cli.main(["sbm", "run", "--set", "scheme=split"]) == 2
+    assert cli.main(["mass-martingale", "--set", "scheme=split"]) == 2
     assert "scheme" in capsys.readouterr().err
-
-
-def test_cli_dual_moment(capsys):
-    cfg = {"rho": 0.0, "gamma": 1.0, "horizon": 0.5, "replicas": 200,
-           "seed": 1, "graph": {"kind": "torus", "d": 1, "L": 4},
-           "u_sites": [0], "v_sites": [2]}
-    import tempfile
-    with tempfile.TemporaryDirectory() as d:
-        p = os.path.join(d, "c.json")
-        json.dump(cfg, open(p, "w"))
-        assert cli.main(["dual", "moment", "--config", p]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["estimate"] > 0 and doc["se"] >= 0
-    assert doc["replicas"] == 200
-
-
-def _run_cli_json(tmp_path, argv, cfg, name, capsys):
-    cfgp = tmp_path / "c.json"
-    cfgp.write_text(json.dumps(cfg))
-    code = cli.main(argv + ["--config", str(cfgp), "--out", str(tmp_path)])
-    capsys.readouterr()
-    assert code == 0
-    return json.loads((tmp_path / name).read_text())
-
-
-def _csv_header(path):
-    return path.read_text().splitlines()[0]
-
-
-_SMALL = {"rho": 0.0, "gamma": 1.0, "horizon": 0.3, "replicas": 32,
-          "seed": 2, "graph": {"kind": "torus", "d": 1, "L": 4}}
-_FIELDS_HEADER = "replica,time,site,u,v"
-_SBMINF_KEYS = {"config", "method", "mean_total_u", "se_total_u",
-                "mean_total_v", "se_total_v", "max_product"}
-
-
-def test_cli_sbminf_run_trotter(tmp_path, capsys):
-    cfg = dict(_SMALL, method="trotter", eps=0.1,
-               initial={"u": [1.0, 0.0, 0.5, 0.0], "v": [0.0, 0.8, 0.0, 0.3]})
-    doc = _run_cli_json(tmp_path, ["sbminf", "run"], cfg,
-                        "sbminf_summary.json", capsys)
-    assert set(doc) == _SBMINF_KEYS | {"effective_horizon"}
-    assert doc["max_product"] == 0.0
-    lines = (tmp_path / "sbminf_fields.csv").read_text().splitlines()
-    assert lines[0] == _FIELDS_HEADER
-    assert len(lines) == 1 + 32 * 4
-
-
-def test_cli_sbminf_run_pdmp(tmp_path, capsys):
-    cfg = dict(_SMALL, method="pdmp", trunc_eps=0.15,
-               initial={"u": [1.0, 0.0, 0.5, 0.0], "v": [0.0, 0.8, 0.0, 0.3]})
-    doc = _run_cli_json(tmp_path, ["sbminf", "run"], cfg,
-                        "sbminf_summary.json", capsys)
-    assert set(doc) == _SBMINF_KEYS | {"jumps_total", "swaps_total",
-                                       "violations_total",
-                                       "zeroed_mass_total"}
-    assert doc["jumps_total"] > 0
-    assert _csv_header(tmp_path / "sbminf_fields.csv") == _FIELDS_HEADER
-    assert _csv_header(tmp_path / "sbminf_diagnostics.csv") == \
-        "replica,n_jumps,n_swaps,violations,zeroed_mass"
-
-
-def test_cli_sbminf_run_pdmp_rejects_times(tmp_path, capsys):
-    # the jump process records only the horizon, so times cannot be honoured
-    cfgp = tmp_path / "c.json"
-    cfgp.write_text(json.dumps(dict(_SMALL, method="pdmp", times=[0.1, 0.3])))
-    assert cli.main(["sbminf", "run", "--config", str(cfgp),
-                     "--out", str(tmp_path)]) == 2
-    assert "times" in capsys.readouterr().err
-    assert not (tmp_path / "sbminf_fields.csv").exists()
 
 
 def test_cli_dt_zero_is_config_error(capsys):
@@ -305,13 +226,16 @@ def _never(*args, **kwargs):
 
 def test_cli_nonpositive_step_is_config_error(capsys, monkeypatch):
     # flow_substep=0 used to hang the jump process, eps=0 raised
-    # ZeroDivisionError, and eps < 0 or horizon < 0 ran zero steps into a
-    # degenerate 0 < 0 FAIL; a started jump process fails fast here
+    # ZeroDivisionError, eps < 0 or horizon < 0 ran zero steps and
+    # horizon = 0 left both routes at the start, each into a degenerate
+    # 0 < 0 FAIL; a started jump process fails fast here
     monkeypatch.setattr(sbm_infinite, "_pdmp_chunk", _never)
     for argv in (["pdmp-vs-trotter", "--set", "flow_substep=0"],
                  ["trotter-refine", "--set", "eps=0"],
                  ["trotter-refine", "--set", "eps=-0.1"],
-                 ["martingale-functional", "--set", "horizon=-1"]):
+                 ["martingale-functional", "--set", "horizon=-1"],
+                 ["trotter-refine", "--set", "horizon=0"],
+                 ["martingale-functional", "--set", "horizon=0"]):
         assert cli.main(argv) == 2, argv
         key = argv[-1].split("=")[0]
         assert f"{key} must be" in capsys.readouterr().err
@@ -323,9 +247,7 @@ def test_cli_site_out_of_range_is_config_error(capsys):
     for argv in (["voter-limit", "--set", "pairs=[[0,-1]]"],
                  ["voter-limit", "--set", "pairs=[[0,99]]"],
                  ["duality-moment", "--set", "u_sites=[5]"],
-                 ["duality-moment", "--set", "v_sites=[-1]"],
-                 ["sbm", "run", "--set", "probes=[9]"],
-                 ["dual", "coalesce", "--set", "sites=[0,9]"]):
+                 ["duality-moment", "--set", "v_sites=[-1]"]):
         assert cli.main(argv + ["--set", "replicas=40"]) == 2, argv
         key = argv[-1].split("=")[0]
         assert f"{key} must be a list" in capsys.readouterr().err
@@ -347,40 +269,23 @@ def test_cli_non_finite_set_is_config_error(capsys):
         assert raw.split("=")[0] in capsys.readouterr().err
 
 
-def test_cli_dual_coalesce(tmp_path, capsys):
-    cfg = dict(_SMALL, sites=[0, 2])
-    doc = _run_cli_json(tmp_path, ["dual", "coalesce"], cfg,
-                        "dual_coalesce.json", capsys)
-    assert set(doc) == {"config", "estimate", "se", "replicas", "sites"}
-    assert doc["sites"] == [0, 2] and 0.0 <= doc["estimate"] <= 1.0
+@pytest.mark.parametrize("name, raw", [
+    ("trotter-refine", "graph.L=3.7"),     # ran on L = 3, recorded 3.7
+    ("trotter-refine", "graph.d=1.5"),
+    ("trotter-refine", 'graph.L="4"'),
+    ("duality-moment", "graph.rate=true"),  # ran at rate 1.0
+    ("trotter-refine", 'graph={"kind":"dumbbell","rate":Infinity}'),
+    ("duality-moment", 'graph={"kind":"dumbbell","rate":Infinity}'),
+])
+def test_cli_graph_spec_is_typed(capsys, name, raw):
+    assert cli.main([name, "--set", raw]) == 2
+    assert re.search(r"graph\.(L|d|rate) must be", capsys.readouterr().err)
 
 
-def test_cli_dual_selfdual(tmp_path, capsys):
-    cfg = dict(_SMALL, dt=0.01,
-               initial={"u": [1.0, 0.0, 0.5, 0.0], "v": [0.0, 0.8, 0.0, 0.5]},
-               initial_y={"u": [0.4, 0.0, 0.3, 0.0],
-                          "v": [0.0, 0.2, 0.0, 0.5]})
-    doc = _run_cli_json(tmp_path, ["dual", "selfdual"], cfg,
-                        "dual_selfdual.json", capsys)
-    assert set(doc) == {"config", "evolved_x", "evolved_y", "gap_re",
-                        "gap_im", "se_gap_re", "se_gap_im", "replicas",
-                        "aborted"}
-    assert doc["aborted"] == 0
-
-
-def test_cli_dual_selfdual_needs_initial_y(tmp_path, capsys):
-    cfgp = tmp_path / "c.json"
-    cfgp.write_text(json.dumps(dict(_SMALL, dt=0.01)))
-    assert cli.main(["dual", "selfdual", "--config", str(cfgp)]) == 2
-    assert "initial_y" in capsys.readouterr().err
-
-
-def test_cli_voter_run(tmp_path, capsys):
-    cfg = dict(_SMALL, initial={"eta": [1, 1, 0, 0]}, times=[0.1, 0.3])
-    doc = _run_cli_json(tmp_path, ["voter", "run"], cfg,
-                        "voter_summary.json", capsys)
-    assert set(doc) == {"config", "mean_density", "consensus_fraction",
-                        "mean_flips"}
-    lines = (tmp_path / "voter_fields.csv").read_text().splitlines()
-    assert lines[0] == "replica,time,site,opinion"
-    assert len(lines) == 1 + 32 * 2 * 4
+@pytest.mark.parametrize("raw", ["rho_grid=0.5", "rho_grid=[true]",
+                                 "initial=5", "initial_y=[1, 0]"])
+def test_cli_config_blocks_are_shape_checked(capsys, raw):
+    # the first and third raised TypeError in the driver (exit 1), the
+    # second ran a row named rho=True
+    assert cli.main(["mass-martingale", "--set", raw]) == 2
+    assert f"{raw.split('=')[0]} must be" in capsys.readouterr().err

@@ -42,6 +42,12 @@ def test_bad_graphs_rejected():
         build_dumbbell(0.0)
     with pytest.raises(ValueError):
         SiteGraph(rates=np.array([[0.0, 1.0], [2.0, -3.0]]))
+    # NaN compares False both ways, so it would slip past the other checks
+    for rate in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            build_dumbbell(rate)
+        with pytest.raises(ValueError, match="finite"):
+            SiteGraph(rates=np.array([[-rate, rate], [rate, -rate]]))
 
 
 def test_generator_constant_field_is_zero():
@@ -90,3 +96,6 @@ def test_as_field_shape_check():
     assert as_field(g, np.arange(6.0)).shape == (6,)
     with pytest.raises(ValueError):
         as_field(g, np.arange(5.0))
+    # a scalar used to raise IndexError
+    with pytest.raises(ValueError, match="entries"):
+        as_field(g, 5.0)
