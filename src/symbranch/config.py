@@ -71,6 +71,13 @@ class ExperimentConfig:
             raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        # an empty list or object would run the experiment's default while
+        # the report records the empty value
+        for name in ("rho_grid", "initial", "initial_y") + _SITE_KEYS:
+            val = getattr(self, name)
+            if isinstance(val, (list, tuple, dict)) and not val:
+                raise ValueError(f"{name} must be non-empty (omit it for the "
+                                 f"experiment's default), got {val!r}")
         if self.rho_grid is not None:
             grid = self.rho_grid
             if not isinstance(grid, (list, tuple)) or not all(

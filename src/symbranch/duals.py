@@ -209,16 +209,10 @@ def selfdual_check(g, cfg, x0, y0, rng_tag="selfdual"):
     pairs against the frozen x0. Returns means, componentwise standard errors,
     and the gaps; the two ensembles use independent streams of cfg.seed.
     """
-    probes = np.arange(g.n_sites)
-    t = cfg.horizon
-    obs_a = simulate(g, cfg, x0, probes=probes, times=[t],
-                     rng_tag=rng_tag + "-A")
-    obs_b = simulate(g, cfg, y0, probes=probes, times=[t],
-                     rng_tag=rng_tag + "-B")
-    ua, va = obs_a.probe_u[:, -1, :], obs_a.probe_v[:, -1, :]
-    ub, vb = obs_b.probe_u[:, -1, :], obs_b.probe_v[:, -1, :]
-    f_a = selfdual_functional(ua, va, y0.u, y0.v, cfg.rho)
-    f_b = selfdual_functional(x0.u, x0.v, ub, vb, cfg.rho)
+    obs_a = simulate(g, cfg, x0, rng_tag=rng_tag + "-A")
+    obs_b = simulate(g, cfg, y0, rng_tag=rng_tag + "-B")
+    f_a = selfdual_functional(obs_a.u, obs_a.v, y0.u, y0.v, cfg.rho)
+    f_b = selfdual_functional(x0.u, x0.v, obs_b.u, obs_b.v, cfg.rho)
     mean_a, se_a = complex_mean_se(f_a)
     mean_b, se_b = complex_mean_se(f_b)
     return {

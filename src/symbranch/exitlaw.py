@@ -91,14 +91,6 @@ def _wedge_polar(params, u, v):
     return np.hypot(u, vt), params.p * (np.arctan2(vt, u) + params.phi)
 
 
-def _unit_image(params, u, v):
-    """Modulus R of the decorrelated point and its half-plane image in units
-    of R^p, (cos ang, sin ang). The exit law is scale-invariant, and R^p
-    itself overflows or underflows as rho -> -1, where p -> inf."""
-    R, ang = _wedge_polar(params, u, v)
-    return float(R), math.cos(ang), math.sin(ang)
-
-
 def _axis_cauchy(params, start, axis):
     """Modulus R of the decorrelated start and the Cauchy(loc, z2) law of the
     exit point in s = (r/(qR))^p on the given axis: loc = z1 on the U axis,
@@ -107,8 +99,12 @@ def _axis_cauchy(params, start, axis):
     if not (u > 0 and v > 0 and abs(params.rho) < 1):
         raise AtomicExitLaw("the exit law is atomic unless the start is "
                             "interior and |rho| < 1")
-    R, z1, z2 = _unit_image(params, u, v)
-    return R, (z1 if axis == U_AXIS else -z1), z2
+    # the half-plane image in units of R^p, (cos ang, sin ang): the exit law
+    # is scale-invariant, and R^p itself overflows or underflows as
+    # rho -> -1, where p -> inf
+    R, ang = _wedge_polar(params, u, v)
+    z1 = math.cos(ang)
+    return float(R), (z1 if axis == U_AXIS else -z1), math.sin(ang)
 
 
 def exit_density_on_axis(params, start, axis, r):

@@ -463,15 +463,13 @@ def _run_duality_moment(cfg):
     t = cfg.horizon
     table = []
     for rho in grid:
-        probes = sorted(set(u_sites) | set(v_sites))
-        obs = simulate(g, sde_config(cfg, rho=rho), initial, probes=probes,
-                       times=[t], rng_tag=f"dual-euler-{rho}")
-        idx = {site: i for i, site in enumerate(probes)}
-        vals = np.ones(obs.probe_u.shape[0])
+        obs = simulate(g, sde_config(cfg, rho=rho), initial,
+                       rng_tag=f"dual-euler-{rho}")
+        vals = np.ones(cfg.replicas)
         for s in u_sites:
-            vals = vals * obs.probe_u[:, -1, idx[s]]
+            vals = vals * obs.u[:, s]
         for s in v_sites:
-            vals = vals * obs.probe_v[:, -1, idx[s]]
+            vals = vals * obs.v[:, s]
         mean_e, se_e = pooled_mean_se(vals[~obs.aborted])
         mean_d, se_d = moment_dual_estimate(
             g, cfg.gamma, rho, initial, u_sites, v_sites, t,

@@ -78,8 +78,10 @@ class SdeConfig:
 
 @dataclass
 class MassObservables:
-    """Per-replica running observables of one simulation batch."""
+    """Terminal fields and per-replica running observables of one batch."""
 
+    u: np.ndarray              # (R, n) terminal fields, zero where aborted
+    v: np.ndarray
     total_u: np.ndarray        # (R,) terminal <u,1>
     total_v: np.ndarray
     clock: np.ndarray          # (R,) realized gamma int <u,v> ds
@@ -88,17 +90,14 @@ class MassObservables:
     cross: np.ndarray          # (R,) sum of cross products of increments
     clamp_count: np.ndarray    # (R,) entries clamped to 0
     aborted: np.ndarray        # (R,) replica hit a non-finite value
-    times: np.ndarray = None           # recorded probe times
-    probe_sites: np.ndarray = None
-    probe_u: np.ndarray = None         # (R, n_times, n_probes)
-    probe_v: np.ndarray = None
 
 
-def simulate(g, cfg, initial, probes=None, times=None, rng_tag="sbm-finite"):
-    """Run cfg.replicas Euler trajectories; returns MassObservables.
-
-    probes/times: record u, v at the given sites and times (snapped to the step
-    grid). Deterministic given cfg.seed.
+def simulate(g, cfg, initial, rng_tag="sbm-finite"):
+    """Run cfg.replicas Euler trajectories to cfg.horizon; returns
+    MassObservables: the terminal (R, n) fields u, v, and per replica the
+    total masses, the clock, the brackets, the clamp count and the abort
+    flag. Deterministic given cfg.seed; a run to a shorter horizon draws the
+    same prefix of every replica's path.
 
     Layout: each chunk of m replicas is held site-major, as (n, m) arrays, so
     the generator step is A @ u and the pair product, the totals and the clamp
@@ -113,28 +112,22 @@ def simulate(g, cfg, initial, probes=None, times=None, rng_tag="sbm-finite"):
     Finite fields whose total, or whose <u,v> (the clock increment), overflows
     to inf count as an abort too. Such a replica is flagged in `aborted`, its
     fields and totals are zeroed, and from that step on it adds nothing to the
-    clock or the brackets.
+    clock or the brackets; its terminal u and v are zero.
     """
     n = g.n_sites
     u0 = as_field(g, initial.u)
     v0 = as_field(g, initial.v)
     R = cfg.replicas
     steps = int(round(cfg.horizon / cfg.dt))
-    probes = np.asarray(probes if probes is not None else [], dtype=int)
-    times = np.asarray(times if times is not None else [], dtype=float)
-    rec_steps = np.unique(np.clip(np.round(times / cfg.dt).astype(int), 0, steps))
-    rec_pos = {int(s): i for i, s in enumerate(rec_steps)}
     A, gamma, rho, dt = g.rates, cfg.gamma, cfg.rho, cfg.dt
     root = math.sqrt(1.0 - rho * rho)
 
     obs = MassObservables(
+        u=np.empty((R, n)), v=np.empty((R, n)),
         total_u=np.empty(R), total_v=np.empty(R), clock=np.zeros(R),
         quad_u=np.zeros(R), quad_v=np.zeros(R), cross=np.zeros(R),
         clamp_count=np.zeros(R, dtype=np.int64),
         aborted=np.zeros(R, dtype=bool),
-        times=rec_steps * cfg.dt, probe_sites=probes,
-        probe_u=np.full((R, rec_steps.size, probes.size), np.nan),
-        probe_v=np.full((R, rec_steps.size, probes.size), np.nan),
     )
 
     for lo, hi, rng in rngmod.chunk_streams(cfg.seed, rng_tag, R):
@@ -149,9 +142,6 @@ def simulate(g, cfg, initial, probes=None, times=None, rng_tag="sbm-finite"):
         ok = np.ones(m, dtype=bool)
         tot_u = u.sum(axis=0)
         tot_v = v.sum(axis=0)
-        if 0 in rec_pos and probes.size:
-            obs.probe_u[lo:hi, rec_pos[0], :] = u[probes].T
-            obs.probe_v[lo:hi, rec_pos[0], :] = v[probes].T
         # per-chunk buffers: one for the (m, n) draws, and site-major ones
         # for their transposes, the next state and scratch
         draw = np.empty((m, n))
@@ -161,7 +151,7 @@ def simulate(g, cfg, initial, probes=None, times=None, rng_tag="sbm-finite"):
         vn = np.empty((n, m))
         tmp = np.empty((n, m))
         neg = np.empty((n, m), dtype=bool)
-        for step in range(1, steps + 1):
+        for _ in range(steps):
             pair = np.multiply(u, v, out=tmp).sum(axis=0)
             np.copyto(z1, rng.standard_normal(out=draw).T)
             np.copyto(zperp, rng.standard_normal(out=draw).T)
@@ -207,9 +197,8 @@ def simulate(g, cfg, initial, probes=None, times=None, rng_tag="sbm-finite"):
             cross += du_t * dv_t
             clock += gamma * pair * dt
             tot_u, tot_v = new_tu, new_tv
-            if step in rec_pos and probes.size:
-                obs.probe_u[lo:hi, rec_pos[step], :] = u[probes].T
-                obs.probe_v[lo:hi, rec_pos[step], :] = v[probes].T
+        obs.u[lo:hi] = u.T
+        obs.v[lo:hi] = v.T
         obs.total_u[lo:hi] = tot_u
         obs.total_v[lo:hi] = tot_v
         obs.clock[lo:hi] = clock

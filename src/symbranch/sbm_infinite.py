@@ -176,7 +176,7 @@ def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
     handled in rank rounds: round j flows each row that has a j-th candidate
     to that candidate's time and accepts or rejects all of them at once.
     events, if a list, receives the JumpEvents of row 0. Returns the final
-    fields and the per-row jump, swap, violation and zeroed-mass counts.
+    fields and the per-row jump, violation and zeroed-mass counts.
     """
     R, n = u.shape
     M = measure.total_mass
@@ -185,7 +185,6 @@ def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
     out_u = np.empty_like(u)
     out_v = np.empty_like(v)
     n_jumps = np.zeros(R, dtype=int)
-    n_swaps = np.zeros(R, dtype=int)
     violations = np.zeros(R, dtype=int)
     zeroed = np.zeros(R)
     # u, v, t and cap hold the live rows only; rid maps each to its chunk row
@@ -200,7 +199,7 @@ def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
             keep = ~done
             rid, t, cap, u, v = rid[keep], t[keep], cap[keep], u[keep], v[keep]
         if not rid.size:
-            return out_u, out_v, n_jumps, n_swaps, violations, zeroed
+            return out_u, out_v, n_jumps, violations, zeroed
         au = u @ A.T
         av = v @ A.T
         rate = _intensity_arrays(u, v, au, av)
@@ -250,7 +249,6 @@ def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
                 swapped, factor = sample_nu_trunc(measure, rng, size=jr.size)
                 mag = jump_update(u, v, jr, jk, swapped, factor)
                 n_jumps[rid[jr]] += 1
-                n_swaps[rid[jr]] += swapped
                 if events is not None and rid[0] == 0 and jr[0] == 0:
                     events.append(JumpEvent(float(t[0] + tau[c[hit][0]]),
                                             int(jk[0]), bool(swapped[0]),
@@ -268,8 +266,10 @@ def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
 
 def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
                   flow_substep=1e-2, record_events=False, rng_tag="pdmp"):
-    """Jump-process trajectories with truncation eps; returns fields and
-    diagnostics (jump/swap counts, majorant violations, projected mass).
+    """Jump-process trajectories with truncation eps; returns the terminal
+    (R, n) fields u, v; per replica the jump count n_jumps, the majorant
+    violations and the zeroed_mass projected away by the flow; and events,
+    None unless record_events is set.
 
     Replicas run in chunks of rngmod.CHUNK rows, one Philox stream per chunk,
     with batched thinning over the chunk's (R, n) arrays. Each replica keeps
@@ -288,13 +288,12 @@ def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     out_u = np.empty((replicas, n))
     out_v = np.empty((replicas, n))
     n_jumps = np.zeros(replicas, dtype=int)
-    n_swaps = np.zeros(replicas, dtype=int)
     violations = np.zeros(replicas, dtype=int)
     zeroed = np.zeros(replicas)
     events = [] if record_events else None
     for lo, hi, rng in rngmod.chunk_streams(seed, rng_tag, replicas):
-        (out_u[lo:hi], out_v[lo:hi], n_jumps[lo:hi], n_swaps[lo:hi],
-         violations[lo:hi], zeroed[lo:hi]) = _pdmp_chunk(
+        (out_u[lo:hi], out_v[lo:hi], n_jumps[lo:hi], violations[lo:hi],
+         zeroed[lo:hi]) = _pdmp_chunk(
             g.rates, measure, np.tile(u0, (hi - lo, 1)),
             np.tile(v0, (hi - lo, 1)), horizon, rng, flow_substep,
             events=events if lo == 0 else None)
@@ -302,10 +301,8 @@ def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
         "u": out_u,
         "v": out_v,
         "n_jumps": n_jumps,
-        "n_swaps": n_swaps,
         "violations": violations,
         "zeroed_mass": zeroed,
-        "measure": measure,
         "events": events,
     }
 

@@ -45,39 +45,34 @@ def _voter_rates(g, eta):
     return (off * disagree).sum(axis=1)
 
 
-def gillespie_simulate(g, eta0, horizon, replicas=1, seed=0, times=None,
-                       rng_tag="voter"):
+def gillespie_simulate(g, eta0, horizon, replicas=1, seed=0, rng_tag="voter"):
     """Continuous-time voter trajectories by exact event simulation.
 
-    Returns snapshots (R, n_times, n) of opinions at the requested times
-    (defaults to the horizon only) plus per-replica flip counts.
+    Returns the terminal opinions (R, n) at the horizon and the per-replica
+    flip counts. One stream per replica, so a run to a shorter horizon draws
+    the same prefix of every replica's path.
     """
     eta0 = OpinionField(as_field(g, np.asarray(eta0))).eta
     n = g.n_sites
-    times = np.asarray(times if times is not None else [horizon], dtype=float)
-    times = np.sort(times)
-    snaps = np.empty((replicas, times.size, n), dtype=np.int8)
+    opinions = np.empty((replicas, n), dtype=np.int8)
     flips = np.zeros(replicas, dtype=int)
     for r in range(replicas):
         rng = rngmod.stream(seed, rng_tag, r)
         eta = eta0.copy()
         rates = _voter_rates(g, eta)
         t = 0.0
-        next_rec = 0
-        while next_rec < times.size:
+        while True:
             total = rates.sum()
             dt = rng.exponential(1.0 / total) if total > 0 else math.inf
-            while next_rec < times.size and t + dt >= times[next_rec]:
-                snaps[r, next_rec] = eta
-                next_rec += 1
-            if next_rec >= times.size:
+            if t + dt >= horizon:
                 break
             t += dt
             k = int(rng.choice(n, p=rates / total))
             eta[k] = 1 - eta[k]
             flips[r] += 1
             rates = _voter_rates(g, eta)
-    return {"times": times, "opinions": snaps, "flips": flips}
+        opinions[r] = eta
+    return {"opinions": opinions, "flips": flips}
 
 
 def two_point_functions(fields, pairs):
@@ -106,7 +101,7 @@ def voter_vs_sbminf(g, initial, horizon, pairs, replicas=4000, seed=0,
 
     ssa = gillespie_simulate(g, eta0.eta, horizon, replicas=replicas,
                              seed=seed)
-    results["voter"] = two_point_functions(ssa["opinions"][:, -1, :], pairs)
+    results["voter"] = two_point_functions(ssa["opinions"], pairs)
     dual = {}
     for (x, y) in pairs:
         dual[(x, y)] = coalescing_dual_estimate(

@@ -9,7 +9,7 @@ would break the traced benchmark fails here.
 import importlib.util
 from pathlib import Path
 
-from symbranch.experiments import default_config, run_experiment
+from symbranch.experiments import EXPERIMENTS, default_config, run_experiment
 
 _LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
@@ -17,8 +17,10 @@ _TINY = (
     ("trotter-refine", dict(replicas=200)),
     ("voter-limit", dict(replicas=40)),
     ("mass-martingale", dict(replicas=50, horizon=0.05)),
+    ("bracket-ratio", dict(replicas=50, horizon=0.05)),
     ("gamma-limit", dict(replicas=50, horizon=0.05)),
     ("duality-moment", dict(replicas=200, horizon=0.1)),
+    ("duality-self", dict(replicas=50, horizon=0.05)),
     ("exitlaw-validate", dict(replicas=300, rho_grid=[-0.5])),
     ("pdmp-vs-trotter", dict(replicas=50)),
     ("martingale-functional", dict(replicas=200)),
@@ -31,6 +33,11 @@ def _load_layertrace():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def test_every_experiment_runs_under_the_tracer():
+    # every return field the tracer reads is then produced by some run
+    assert sorted(name for name, _ in _TINY) == sorted(EXPERIMENTS)
 
 
 def test_every_traced_layer_is_reached(tmp_path):

@@ -1,5 +1,7 @@
 """Config validation: unknown keys, dotted paths, graph specs, overrides."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -109,6 +111,17 @@ def test_site_indices_are_range_checked():
         ExperimentConfig(graph=dumbbell, u_sites=[2])
     with pytest.raises(ValueError, match="pairs"):
         apply_overrides(ExperimentConfig(), ["pairs=[[0,-1]]"])
+
+
+@pytest.mark.parametrize("key", ["rho_grid", "u_sites", "v_sites", "pairs",
+                                 "initial", "initial_y"])
+def test_empty_list_or_object_is_rejected(key):
+    # each one ran the experiment's default while the report recorded it
+    empty = {} if key.startswith("initial") else []
+    with pytest.raises(ValueError, match=f"^{key} must be non-empty"):
+        ExperimentConfig(**{key: empty})
+    with pytest.raises(ValueError, match=f"^{key} must be non-empty"):
+        apply_overrides(ExperimentConfig(), [f"{key}={json.dumps(empty)}"])
 
 
 def test_numeric_keys_are_type_checked():

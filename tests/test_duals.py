@@ -72,9 +72,9 @@ def test_moment_dual_recoloring_matches_euler(dumbbell):
     m, s = moment_dual_estimate(dumbbell, gamma, rho, init, [0, 1], [],
                                 t=t, replicas=n, seed=4)
     cfg = SdeConfig(gamma=gamma, rho=rho, horizon=t, replicas=n, seed=5)
-    obs = simulate(dumbbell, cfg, init, probes=[0, 1], times=[t])
+    obs = simulate(dumbbell, cfg, init)
     assert not obs.aborted.any()
-    e, se = pooled_mean_se(obs.probe_u[:, -1, 0] * obs.probe_u[:, -1, 1])
+    e, se = pooled_mean_se(obs.u[:, 0] * obs.u[:, 1])
     assert abs(m - e) < 4 * np.hypot(s, se)
 
 

@@ -431,6 +431,9 @@ def test_atomic_swap_measure_constants():
     assert meas.total_mass == 1.0
     assert meas.m2 == 1.0
     assert meas.balance == -1.0
+    # every mark swaps, at magnitude exactly 1
+    swap, mags = sample_nu_trunc(meas, rngmod.stream(0, "t-atomic"), size=500)
+    assert swap.all() and np.all(mags == 1.0)
 
 
 def test_trunc_sampler_branch_frequencies():

@@ -283,9 +283,10 @@ def test_cli_graph_spec_is_typed(capsys, name, raw):
 
 
 @pytest.mark.parametrize("raw", ["rho_grid=0.5", "rho_grid=[true]",
-                                 "initial=5", "initial_y=[1, 0]"])
+                                 "initial=5", "initial_y=[1, 0]",
+                                 "rho_grid=[]"])
 def test_cli_config_blocks_are_shape_checked(capsys, raw):
     # the first and third raised TypeError in the driver (exit 1), the
-    # second ran a row named rho=True
+    # second ran a row named rho=True, the last ran the default grid
     assert cli.main(["mass-martingale", "--set", raw]) == 2
     assert f"{raw.split('=')[0]} must be" in capsys.readouterr().err

@@ -52,10 +52,10 @@ def test_pairfield_rejects_negative():
 
 
 def _one_step(g, state, **kw):
-    """Fields after one simulate step from state, every site probed."""
+    """Terminal fields of a one-step simulate run from state."""
     cfg = _cfg(horizon=1e-3, replicas=1, **kw)
-    obs = simulate(g, cfg, state, probes=range(g.n_sites), times=[cfg.dt])
-    return cfg, obs.probe_u[0, -1], obs.probe_v[0, -1]
+    obs = simulate(g, cfg, state)
+    return cfg, obs.u[0], obs.v[0]
 
 
 def test_step_gamma_zero_is_heat(ring8):
@@ -100,9 +100,9 @@ def test_simulate_gamma_zero_matches_heat_kernel(ring8):
     u0[0] = 1.0
     init = PairField(u0, np.full(8, 0.3))
     cfg = _cfg(gamma=0.0, horizon=0.5, replicas=1)
-    obs = simulate(ring8, cfg, init, probes=list(range(8)), times=[0.5])
+    obs = simulate(ring8, cfg, init)
     expected = u0 @ heat_semigroup(ring8, 0.5).T
-    assert np.allclose(obs.probe_u[0, -1], expected, atol=5e-4)
+    assert np.allclose(obs.u[0], expected, atol=5e-4)
 
 
 def test_simulate_mass_martingale_small(ring8):
@@ -152,22 +152,19 @@ def test_brackets_per_clock_unit(ring8):
     assert br["ratio"] == pytest.approx(rho, abs=0.02)
 
 
-def _row_major_reference(g, cfg, initial, probes, times):
+def _row_major_reference(g, cfg, initial):
     """The replica-major loop simulate replaced, kept as its oracle: (m, n)
     arrays per chunk, the same streams and draws, aborts found site by site
     and from an overflowing pair product."""
     n, R = g.n_sites, cfg.replicas
     steps = int(round(cfg.horizon / cfg.dt))
-    probes = np.asarray(probes, dtype=int)
-    rec = np.unique(np.clip(np.round(np.asarray(times) / cfg.dt).astype(int),
-                            0, steps))
     root = math.sqrt(1.0 - cfg.rho * cfg.rho)
     out = {k: np.zeros(R) for k in ("total_u", "total_v", "clock", "quad_u",
                                      "quad_v", "cross")}
     out["clamp_count"] = np.zeros(R, dtype=np.int64)
     out["aborted"] = np.zeros(R, dtype=bool)
-    out["probe_u"] = np.full((R, rec.size, probes.size), np.nan)
-    out["probe_v"] = np.full((R, rec.size, probes.size), np.nan)
+    out["u"] = np.zeros((R, n))
+    out["v"] = np.zeros((R, n))
     for lo, hi, rng in rngmod.chunk_streams(cfg.seed, "sbm-finite", R):
         m = hi - lo
         u = np.tile(np.asarray(initial.u, dtype=float), (m, 1))
@@ -176,36 +173,32 @@ def _row_major_reference(g, cfg, initial, probes, times):
         clamp = np.zeros(m, dtype=np.int64)
         ok = np.ones(m, dtype=bool)
         tot_u, tot_v = u.sum(axis=1), v.sum(axis=1)
-        for step in range(steps + 1):
-            if step:
-                pair = np.einsum("ij,ij->i", u, v)
-                z1 = rng.standard_normal((m, n))
-                zperp = rng.standard_normal((m, n))
-                un = u + u @ g.rates.T * cfg.dt
-                vn = v + v @ g.rates.T * cfg.dt
-                if cfg.gamma > 0:
-                    sig = np.sqrt(cfg.gamma * np.maximum(u, 0.0)
-                                  * np.maximum(v, 0.0) * cfg.dt)
-                    un = un + sig * z1
-                    vn = vn + sig * (cfg.rho * z1 + root * zperp)
-                clamp += (un < 0).sum(axis=1) + (vn < 0).sum(axis=1)
-                u, v = np.maximum(un, 0.0), np.maximum(vn, 0.0)
-                bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
-                        & np.isfinite(pair))
-                ok &= ~bad
-                u[bad] = 0.0
-                v[bad] = 0.0
-                du = np.where(ok, u.sum(axis=1) - tot_u, 0.0)
-                dv = np.where(ok, v.sum(axis=1) - tot_v, 0.0)
-                acc["quad_u"] += du**2
-                acc["quad_v"] += dv**2
-                acc["cross"] += du * dv
-                acc["clock"] += np.where(ok, cfg.gamma * pair * cfg.dt, 0.0)
-                tot_u, tot_v = u.sum(axis=1), v.sum(axis=1)
-            if step in rec and probes.size:
-                j = int(np.searchsorted(rec, step))
-                out["probe_u"][lo:hi, j] = u[:, probes]
-                out["probe_v"][lo:hi, j] = v[:, probes]
+        for _ in range(steps):
+            pair = np.einsum("ij,ij->i", u, v)
+            z1 = rng.standard_normal((m, n))
+            zperp = rng.standard_normal((m, n))
+            un = u + u @ g.rates.T * cfg.dt
+            vn = v + v @ g.rates.T * cfg.dt
+            if cfg.gamma > 0:
+                sig = np.sqrt(cfg.gamma * np.maximum(u, 0.0)
+                              * np.maximum(v, 0.0) * cfg.dt)
+                un = un + sig * z1
+                vn = vn + sig * (cfg.rho * z1 + root * zperp)
+            clamp += (un < 0).sum(axis=1) + (vn < 0).sum(axis=1)
+            u, v = np.maximum(un, 0.0), np.maximum(vn, 0.0)
+            bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
+                    & np.isfinite(pair))
+            ok &= ~bad
+            u[bad] = 0.0
+            v[bad] = 0.0
+            du = np.where(ok, u.sum(axis=1) - tot_u, 0.0)
+            dv = np.where(ok, v.sum(axis=1) - tot_v, 0.0)
+            acc["quad_u"] += du**2
+            acc["quad_v"] += dv**2
+            acc["cross"] += du * dv
+            acc["clock"] += np.where(ok, cfg.gamma * pair * cfg.dt, 0.0)
+            tot_u, tot_v = u.sum(axis=1), v.sum(axis=1)
+        out["u"][lo:hi], out["v"][lo:hi] = u, v
         out["total_u"][lo:hi], out["total_v"][lo:hi] = tot_u, tot_v
         for k, a in acc.items():
             out[k][lo:hi] = a
@@ -215,38 +208,43 @@ def _row_major_reference(g, cfg, initial, probes, times):
 
 
 _FIELDS = ("total_u", "total_v", "clock", "quad_u", "quad_v", "cross",
-           "clamp_count", "aborted", "probe_u", "probe_v")
+           "clamp_count", "aborted", "u", "v")
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 1.0])
 def test_simulate_bit_identical_to_row_major_on_dumbbell(rho):
-    # two chunks, a start with empty sites (so clamps fire), probes at t = 0
+    # two chunks, a start with empty sites (so clamps fire), a zero horizon
     g = build_graph({"kind": "dumbbell"})
     init = PairField([1.0, 0.0], [0.0, 1.0])
-    cfg = _cfg(gamma=5.0, rho=rho, dt=0.01, horizon=0.2,
-               replicas=rngmod.CHUNK + 3, seed=12)
-    kw = dict(probes=[0, 1], times=[0.0, 0.05, 0.2])
-    obs = simulate(g, cfg, init, **kw)
-    ref = _row_major_reference(g, cfg, init, **kw)
+    for horizon in (0.0, 0.05, 0.2):
+        cfg = _cfg(gamma=5.0, rho=rho, dt=0.01, horizon=horizon,
+                   replicas=rngmod.CHUNK + 3, seed=12)
+        obs = simulate(g, cfg, init)
+        ref = _row_major_reference(g, cfg, init)
+        for key in _FIELDS:
+            assert np.array_equal(getattr(obs, key), ref[key]), (horizon, key)
+        # on two sites the sum over sites has one order
+        assert np.array_equal(obs.u.sum(axis=1), obs.total_u)
+        assert np.array_equal(obs.v.sum(axis=1), obs.total_v)
     assert obs.clamp_count.sum() > 0
-    for key in _FIELDS:
-        assert np.array_equal(getattr(obs, key), ref[key], equal_nan=True), key
 
 
 def test_simulate_matches_row_major_on_torus(ring8):
     # sums over 8 sites run in another order: 1e-12 relative, on the scale
     # sqrt(quad_u quad_v) for the cross bracket, which can be near 0
     init = PairField(np.linspace(0.0, 1.0, 8), np.linspace(1.0, 0.1, 8))
-    cfg = _cfg(gamma=2.0, rho=0.3, horizon=0.1, replicas=rngmod.CHUNK + 3, seed=13)
-    kw = dict(probes=[0, 5], times=[0.0, 0.1])
-    obs = simulate(ring8, cfg, init, **kw)
-    ref = _row_major_reference(ring8, cfg, init, **kw)
-    assert np.array_equal(obs.clamp_count, ref["clamp_count"])
-    assert np.array_equal(obs.aborted, ref["aborted"])
-    scale = {"cross": np.sqrt(ref["quad_u"] * ref["quad_v"])}
-    for key in _FIELDS[:6] + _FIELDS[8:]:
-        err = np.abs(getattr(obs, key) - ref[key])
-        assert np.all(err <= 1e-12 * scale.get(key, np.abs(ref[key]))), key
+    for horizon in (0.0, 0.1):
+        cfg = _cfg(gamma=2.0, rho=0.3, horizon=horizon,
+                   replicas=rngmod.CHUNK + 3, seed=13)
+        obs = simulate(ring8, cfg, init)
+        ref = _row_major_reference(ring8, cfg, init)
+        assert np.array_equal(obs.clamp_count, ref["clamp_count"])
+        assert np.array_equal(obs.aborted, ref["aborted"])
+        scale = {"cross": np.sqrt(ref["quad_u"] * ref["quad_v"])}
+        for key in _FIELDS[:6] + _FIELDS[8:]:
+            err = np.abs(getattr(obs, key) - ref[key])
+            assert np.all(err <= 1e-12 * scale.get(key, np.abs(ref[key]))), \
+                (horizon, key)
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
@@ -256,14 +254,16 @@ def test_simulate_abort_matches_row_major(rho):
     # the replicas whose noise there pushes both fields up
     g = build_graph({"kind": "dumbbell"})
     init = PairField([1.3e154, 1.0], [1.3e154, 1.0])
-    cfg = _cfg(rho=rho, horizon=0.002, replicas=256, seed=14)
-    kw = dict(probes=[1], times=[0.001, 0.002])
-    with np.errstate(over="ignore", invalid="ignore"):
-        obs = simulate(g, cfg, init, **kw)
-        ref = _row_major_reference(g, cfg, init, **kw)
+    for horizon in (0.001, 0.002):
+        cfg = _cfg(rho=rho, horizon=horizon, replicas=256, seed=14)
+        with np.errstate(over="ignore", invalid="ignore"):
+            obs = simulate(g, cfg, init)
+            ref = _row_major_reference(g, cfg, init)
+        for key in _FIELDS:
+            assert np.array_equal(getattr(obs, key), ref[key]), (horizon, key)
     assert 0 < obs.aborted.sum() < cfg.replicas
-    for key in _FIELDS:
-        assert np.array_equal(getattr(obs, key), ref[key], equal_nan=True), key
+    assert np.all(obs.u[obs.aborted] == 0.0)
+    assert np.all(obs.v[obs.aborted] == 0.0)
     assert np.all(obs.total_u[obs.aborted] == 0.0)
     assert np.all(obs.total_v[obs.aborted] == 0.0)
     ok = ~obs.aborted
@@ -289,24 +289,22 @@ def test_simulate_total_overflow_is_an_abort():
        seed=st.integers(0, 2**16))
 def test_simulate_properties(ring8, rho, u0, v0, seed):
     shape = np.linspace(0.5, 1.5, 8)
-    probes = list(range(8))
-    cfg = _cfg(rho=rho, horizon=0.05, replicas=16, seed=seed)
-    obs = simulate(ring8, cfg, PairField(u0 * shape, v0 * shape),
-                   probes=probes, times=[0.02, 0.05])
-    assert not obs.aborted.any()
-    for key in _FIELDS[:6] + _FIELDS[8:]:
-        assert np.all(np.isfinite(getattr(obs, key))), key
-        if key != "cross":
-            assert np.all(getattr(obs, key) >= 0), key
-    if u0 == 0.0:
-        assert np.all(obs.probe_u == 0.0) and np.all(obs.total_u == 0.0)
-        for key in ("clock", "quad_u", "cross"):
-            assert np.all(getattr(obs, key) == 0.0), key
-    if rho == 1.0 and u0 == v0:
-        obs = simulate(ring8, cfg, PairField(u0 * shape, u0 * shape),
-                       probes=probes, times=[0.02, 0.05])
-        assert np.array_equal(obs.probe_u, obs.probe_v)
-        assert np.array_equal(obs.total_u, obs.total_v)
+    for horizon in (0.02, 0.05):
+        cfg = _cfg(rho=rho, horizon=horizon, replicas=16, seed=seed)
+        obs = simulate(ring8, cfg, PairField(u0 * shape, v0 * shape))
+        assert not obs.aborted.any()
+        for key in _FIELDS[:6] + _FIELDS[8:]:
+            assert np.all(np.isfinite(getattr(obs, key))), key
+            if key != "cross":
+                assert np.all(getattr(obs, key) >= 0), key
+        if u0 == 0.0:
+            assert np.all(obs.u == 0.0) and np.all(obs.total_u == 0.0)
+            for key in ("clock", "quad_u", "cross"):
+                assert np.all(getattr(obs, key) == 0.0), key
+        if rho == 1.0 and u0 == v0:
+            obs = simulate(ring8, cfg, PairField(u0 * shape, u0 * shape))
+            assert np.array_equal(obs.u, obs.v)
+            assert np.array_equal(obs.total_u, obs.total_v)
 
 
 def test_nonspatial_absorbed_start_is_fixed():

@@ -194,7 +194,6 @@ def test_pdmp_boundary_constraint_and_diagnostics(ring8):
     assert np.max(res["u"] * res["v"]) == 0.0
     assert res["n_jumps"].sum() > 0
     assert res["zeroed_mass"].max() < 1e-10  # flow leakage is fp-roundoff only
-    assert res["measure"].m2 == 1.0
 
 
 def test_pdmp_compensator_cancellation(ring8):
@@ -217,7 +216,6 @@ def test_pdmp_rho_minus_one_exactness(ring8):
     assert np.all(s == 1.0)  # exact unit magnitudes, dyadic arithmetic
     assert np.all(res["u"] * res["v"] == 0.0)
     assert np.all(res["zeroed_mass"] == 0.0)
-    assert np.all(res["n_swaps"] == res["n_jumps"])  # every mark swaps
 
 
 def test_pdmp_rho_minus_one_closed_form():
@@ -245,15 +243,14 @@ def test_pdmp_chunk_boundary_and_diagnostics(ring8):
 
     res = run()
     assert res["u"].shape == res["v"].shape == (R, 8)
-    for key in ("n_jumps", "n_swaps", "violations", "zeroed_mass"):
+    for key in ("n_jumps", "violations", "zeroed_mass"):
         assert res[key].shape == (R,)
-    assert np.all(res["n_swaps"] <= res["n_jumps"])
     assert np.all(res["violations"] >= 0)
     assert res["zeroed_mass"].max() < 1e-10
     assert res["n_jumps"][0] > 0
     assert len(res["events"]) == res["n_jumps"][0]
     again = run()
-    for key in ("u", "v", "n_jumps", "n_swaps", "violations", "zeroed_mass"):
+    for key in ("u", "v", "n_jumps", "violations", "zeroed_mass"):
         assert res[key].tobytes() == again[key].tobytes()
 
 

@@ -36,10 +36,24 @@ def test_flip_rates(ring6):
 
 
 def test_consensus_is_absorbing(ring6):
-    res = gillespie_simulate(ring6, np.ones(6, dtype=int), horizon=5.0,
-                             replicas=16, seed=0, times=[1.0, 5.0])
-    assert np.all(res["opinions"] == 1)
-    assert np.all(res["flips"] == 0)
+    for horizon in (1.0, 5.0):
+        res = gillespie_simulate(ring6, np.ones(6, dtype=int), horizon,
+                                 replicas=16, seed=0)
+        assert np.all(res["opinions"] == 1)
+        assert np.all(res["flips"] == 0)
+
+
+def test_shorter_horizon_is_a_prefix(ring6):
+    # one stream per replica: a run to t1 < t2 draws the first events of the
+    # run to t2, so flips only grow and consensus, once reached, stays
+    eta0 = np.array([1, 0, 1, 0, 1, 0])
+    early, late = (gillespie_simulate(ring6, eta0, t, replicas=200, seed=6)
+                   for t in (1.5, 4.0))
+    assert np.all(early["flips"] <= late["flips"])
+    assert np.any(early["flips"] < late["flips"])
+    agree = (early["opinions"] == early["opinions"][:, :1]).all(axis=1)
+    assert agree.any()
+    assert np.array_equal(late["opinions"][agree], early["opinions"][agree])
 
 
 def test_voter_two_point_matches_coalescing_dual(ring6):
@@ -47,8 +61,7 @@ def test_voter_two_point_matches_coalescing_dual(ring6):
     eta0 = np.array([1, 1, 1, 0, 0, 0])
     t = 0.8
     res = gillespie_simulate(ring6, eta0, horizon=t, replicas=20000, seed=1)
-    tp = two_point_functions(res["opinions"][:, -1, :].astype(float),
-                             [(0, 3)])
+    tp = two_point_functions(res["opinions"].astype(float), [(0, 3)])
     m_dual, se_dual = coalescing_dual_estimate(ring6, eta0.astype(float),
                                                [0, 3], t, replicas=20000,
                                                seed=2)
@@ -58,12 +71,11 @@ def test_voter_two_point_matches_coalescing_dual(ring6):
 
 def test_consensus_probability_monotone_in_time(ring6):
     eta0 = np.array([1, 0, 1, 0, 1, 0])
-    horizons = [1.0, 2.0, 4.0, 8.0]
-    res = gillespie_simulate(ring6, eta0, horizon=8.0, replicas=3000, seed=3,
-                             times=horizons)
-    snaps = res["opinions"]
-    cons = [float(np.mean((snaps[:, i, :] == snaps[:, i, :1]).all(axis=1)))
-            for i in range(len(horizons))]
+    cons = []
+    for horizon in (1.0, 2.0, 4.0, 8.0):
+        eta = gillespie_simulate(ring6, eta0, horizon, replicas=3000,
+                                 seed=3)["opinions"]
+        cons.append(float(np.mean((eta == eta[:, :1]).all(axis=1))))
     assert all(a <= b for a, b in zip(cons, cons[1:]))
     assert cons[-1] > cons[0]
 
