@@ -103,9 +103,9 @@ def simulate(g, cfg, initial, rng_tag="sbm-finite"):
     the generator step is A @ u and the pair product, the totals and the clamp
     counts are reductions over the site axis.
 
-    Stream layout (the outputs depend on it): one rng.chunk_streams stream per
-    chunk; each step draws z1 then zperp, each of shape (m, n), and the step
-    reads their transposes.
+    Stream layout (the outputs depend on it): rng.map_chunks runs each chunk
+    of replicas on its own stream; each step draws z1 then zperp, each of
+    shape (m, n), and the step reads their transposes.
 
     Aborts are detected from the totals and the pair product: the fields are
     clamped >= 0, so a NaN or inf at any site makes <u,1> + <v,1> non-finite.
@@ -114,100 +114,81 @@ def simulate(g, cfg, initial, rng_tag="sbm-finite"):
     fields and totals are zeroed, and from that step on it adds nothing to the
     clock or the brackets; its terminal u and v are zero.
     """
-    n = g.n_sites
     u0 = as_field(g, initial.u)
     v0 = as_field(g, initial.v)
-    R = cfg.replicas
     steps = int(round(cfg.horizon / cfg.dt))
-    A, gamma, rho, dt = g.rates, cfg.gamma, cfg.rho, cfg.dt
+    return MassObservables(*rngmod.map_chunks(
+        _simulate_chunk, cfg.seed, rng_tag, cfg.replicas, g.rates, u0, v0,
+        cfg.gamma, cfg.rho, cfg.dt, steps))
+
+
+def _simulate_chunk(lo, hi, rng, A, u0, v0, gamma, rho, dt, steps):
+    """Euler run of replicas lo..hi from (u0, v0); returns the MassObservables
+    fields of the chunk, in field order."""
+    n = u0.size
+    m = hi - lo
     root = math.sqrt(1.0 - rho * rho)
-
-    obs = MassObservables(
-        u=np.empty((R, n)), v=np.empty((R, n)),
-        total_u=np.empty(R), total_v=np.empty(R), clock=np.zeros(R),
-        quad_u=np.zeros(R), quad_v=np.zeros(R), cross=np.zeros(R),
-        clamp_count=np.zeros(R, dtype=np.int64),
-        aborted=np.zeros(R, dtype=bool),
-    )
-
-    for lo, hi, rng in rngmod.chunk_streams(cfg.seed, rng_tag, R):
-        m = hi - lo
-        u = np.repeat(u0[:, None], m, axis=1)
-        v = np.repeat(v0[:, None], m, axis=1)
-        clamp = np.zeros(m, dtype=np.int64)
-        clock = np.zeros(m)
-        quad_u = np.zeros(m)
-        quad_v = np.zeros(m)
-        cross = np.zeros(m)
-        ok = np.ones(m, dtype=bool)
-        tot_u = u.sum(axis=0)
-        tot_v = v.sum(axis=0)
-        # per-chunk buffers: one for the (m, n) draws, and site-major ones
-        # for their transposes, the next state and scratch
-        draw = np.empty((m, n))
-        z1 = np.empty((n, m))
-        zperp = np.empty((n, m))
-        un = np.empty((n, m))
-        vn = np.empty((n, m))
-        tmp = np.empty((n, m))
-        neg = np.empty((n, m), dtype=bool)
-        for _ in range(steps):
-            pair = np.multiply(u, v, out=tmp).sum(axis=0)
-            np.copyto(z1, rng.standard_normal(out=draw).T)
-            np.copyto(zperp, rng.standard_normal(out=draw).T)
-            np.matmul(A, u, out=un)
-            np.matmul(A, v, out=vn)
-            un *= dt
-            vn *= dt
-            un += u
-            vn += v
-            if gamma > 0:
-                # sig = sqrt(gamma u v dt), in place of the old state's u
-                sig = np.multiply(u, gamma, out=u)
-                sig *= v
-                sig *= dt
-                np.sqrt(sig, out=sig)
-                un += np.multiply(sig, z1, out=tmp)
-                np.multiply(z1, rho, out=tmp)
-                zperp *= root
-                tmp += zperp
-                tmp *= sig
-                vn += tmp
-            for w in (un, vn):
-                if np.less(w, 0.0, out=neg).any():
-                    clamp += neg.sum(axis=0)
-                    np.maximum(w, 0.0, out=w)
-            u, un = un, u
-            v, vn = vn, v
-            new_tu = u.sum(axis=0)
-            new_tv = v.sum(axis=0)
-            du_t = new_tu - tot_u
-            dv_t = new_tv - tot_v
-            bad = ~np.isfinite(new_tu + new_tv + pair)
-            if bad.any():
-                # an aborted column is zero from here on, so later steps add
-                # exactly 0 to its brackets and clock
-                ok &= ~bad
-                for w in (u, v):
-                    w[:, bad] = 0.0
-                for w in (new_tu, new_tv, du_t, dv_t, pair):
-                    w[bad] = 0.0
-            quad_u += du_t**2
-            quad_v += dv_t**2
-            cross += du_t * dv_t
-            clock += gamma * pair * dt
-            tot_u, tot_v = new_tu, new_tv
-        obs.u[lo:hi] = u.T
-        obs.v[lo:hi] = v.T
-        obs.total_u[lo:hi] = tot_u
-        obs.total_v[lo:hi] = tot_v
-        obs.clock[lo:hi] = clock
-        obs.quad_u[lo:hi] = quad_u
-        obs.quad_v[lo:hi] = quad_v
-        obs.cross[lo:hi] = cross
-        obs.clamp_count[lo:hi] = clamp
-        obs.aborted[lo:hi] = ~ok
-    return obs
+    u = np.repeat(u0[:, None], m, axis=1)
+    v = np.repeat(v0[:, None], m, axis=1)
+    clamp = np.zeros(m, dtype=np.int64)
+    clock, quad_u, quad_v, cross = np.zeros((4, m))
+    ok = np.ones(m, dtype=bool)
+    tot_u = u.sum(axis=0)
+    tot_v = v.sum(axis=0)
+    # per-chunk buffers: one for the (m, n) draws, and site-major ones
+    # for their transposes, the next state and scratch
+    draw = np.empty((m, n))
+    z1, zperp, un, vn, tmp = np.empty((5, n, m))
+    neg = np.empty((n, m), dtype=bool)
+    for _ in range(steps):
+        pair = np.multiply(u, v, out=tmp).sum(axis=0)
+        np.copyto(z1, rng.standard_normal(out=draw).T)
+        np.copyto(zperp, rng.standard_normal(out=draw).T)
+        np.matmul(A, u, out=un)
+        np.matmul(A, v, out=vn)
+        un *= dt
+        vn *= dt
+        un += u
+        vn += v
+        if gamma > 0:
+            # sig = sqrt(gamma u v dt), in place of the old state's u
+            sig = np.multiply(u, gamma, out=u)
+            sig *= v
+            sig *= dt
+            np.sqrt(sig, out=sig)
+            un += np.multiply(sig, z1, out=tmp)
+            np.multiply(z1, rho, out=tmp)
+            zperp *= root
+            tmp += zperp
+            tmp *= sig
+            vn += tmp
+        for w in (un, vn):
+            if np.less(w, 0.0, out=neg).any():
+                clamp += neg.sum(axis=0)
+                np.maximum(w, 0.0, out=w)
+        u, un = un, u
+        v, vn = vn, v
+        new_tu = u.sum(axis=0)
+        new_tv = v.sum(axis=0)
+        du_t = new_tu - tot_u
+        dv_t = new_tv - tot_v
+        bad = ~np.isfinite(new_tu + new_tv + pair)
+        if bad.any():
+            # an aborted column is zero from here on, so later steps add
+            # exactly 0 to its brackets and clock
+            ok &= ~bad
+            for w in (u, v):
+                w[:, bad] = 0.0
+            for w in (new_tu, new_tv, du_t, dv_t, pair):
+                w[bad] = 0.0
+        quad_u += du_t**2
+        quad_v += dv_t**2
+        cross += du_t * dv_t
+        clock += gamma * pair * dt
+        tot_u, tot_v = new_tu, new_tv
+    # copies, so that the joined (R, n) fields are row-major like the draws
+    return (u.T.copy(), v.T.copy(), tot_u, tot_v, clock, quad_u, quad_v,
+            cross, clamp, ~ok)
 
 
 def realized_brackets(obs):
@@ -239,54 +220,60 @@ def nonspatial_simulate(cfg, start, rng_tag="sbm-nonspatial"):
     absorbed flag per replica. Absorption (one coordinate exactly 0) is final:
     the noise coefficient vanishes and there is no flow.
 
-    Stream layout (the artifacts depend on it): one rng.chunk_streams stream
-    per chunk of replicas; steps run in blocks of 2048, and each block draws
-    z1 then zperp, each of shape (rows alive at block start, steps in block).
-    Z2 = rho*z1 + sqrt(1-rho^2)*zperp is formed per step for live rows only.
+    Stream layout (the artifacts depend on it): rng.map_chunks runs each chunk
+    of replicas on its own stream; steps run in blocks of 2048, and each block
+    draws z1 then zperp, each of shape (rows alive at block start, steps in
+    block). Z2 = rho*z1 + sqrt(1-rho^2)*zperp is formed per step for live rows
+    only.
     """
     u0, v0 = start
-    R = cfg.replicas
     steps = int(round(cfg.horizon / cfg.dt))
-    out_u = np.full(R, float(u0))
-    out_v = np.full(R, float(v0))
-    occupation = np.zeros(R)
-    rho, root = cfg.rho, math.sqrt(1.0 - cfg.rho**2)
-    block = 2048
-    for lo, hi, rng in rngmod.chunk_streams(cfg.seed, rng_tag, R):
-        u = out_u[lo:hi]
-        v = out_v[lo:hi]
-        occ = occupation[lo:hi]
-        alive = np.flatnonzero((u > 0) & (v > 0))
-        step = 0
-        while alive.size and step < steps:
-            k = min(block, steps - step)
-            z1 = rng.standard_normal((alive.size, k))
-            zp = rng.standard_normal((alive.size, k))
-            # dense state of the live rows; rows indexes them into the block
-            rows = np.arange(alive.size)
-            ua, va, occ_a = u[alive], v[alive], occ[alive]
-            for j in range(k):
-                x = cfg.gamma * ua * va * cfg.dt
-                occ_a += x
-                sig = np.sqrt(x)
-                a = z1[rows, j]
-                ua = np.maximum(ua + sig * a, 0.0)
-                va = np.maximum(va + sig * (rho * a + root * zp[rows, j]), 0.0)
-                dead = (ua <= 0) | (va <= 0)
-                if dead.any():
-                    gone = alive[rows[dead]]
-                    u[gone], v[gone], occ[gone] = ua[dead], va[dead], occ_a[dead]
-                    keep = ~dead
-                    rows = rows[keep]
-                    ua, va, occ_a = ua[keep], va[keep], occ_a[keep]
-                    if not rows.size:
-                        break
-            alive = alive[rows]
-            u[alive], v[alive], occ[alive] = ua, va, occ_a
-            step += k
+    u, v, occupation = rngmod.map_chunks(
+        _nonspatial_chunk, cfg.seed, rng_tag, cfg.replicas, float(u0),
+        float(v0), cfg.gamma, cfg.rho, cfg.dt, steps)
     return {
-        "u": out_u,
-        "v": out_v,
+        "u": u,
+        "v": v,
         "occupation": occupation,
-        "absorbed": (out_u <= 0) | (out_v <= 0),
+        "absorbed": (u <= 0) | (v <= 0),
     }
+
+
+def _nonspatial_chunk(lo, hi, rng, u0, v0, gamma, rho, dt, steps):
+    """Single-site run of replicas lo..hi from (u0, v0); returns their
+    terminal u, v and occupation."""
+    m = hi - lo
+    u = np.full(m, u0)
+    v = np.full(m, v0)
+    occ = np.zeros(m)
+    root = math.sqrt(1.0 - rho**2)
+    block = 2048
+    alive = np.flatnonzero((u > 0) & (v > 0))
+    step = 0
+    while alive.size and step < steps:
+        k = min(block, steps - step)
+        z1 = rng.standard_normal((alive.size, k))
+        zp = rng.standard_normal((alive.size, k))
+        # dense state of the live rows; rows indexes them into the block
+        rows = np.arange(alive.size)
+        ua, va, occ_a = u[alive], v[alive], occ[alive]
+        for j in range(k):
+            x = gamma * ua * va * dt
+            occ_a += x
+            sig = np.sqrt(x)
+            a = z1[rows, j]
+            ua = np.maximum(ua + sig * a, 0.0)
+            va = np.maximum(va + sig * (rho * a + root * zp[rows, j]), 0.0)
+            dead = (ua <= 0) | (va <= 0)
+            if dead.any():
+                gone = alive[rows[dead]]
+                u[gone], v[gone], occ[gone] = ua[dead], va[dead], occ_a[dead]
+                keep = ~dead
+                rows = rows[keep]
+                ua, va, occ_a = ua[keep], va[keep], occ_a[keep]
+                if not rows.size:
+                    break
+        alive = alive[rows]
+        u[alive], v[alive], occ[alive] = ua, va, occ_a
+        step += k
+    return u, v, occ

@@ -103,12 +103,6 @@ def _intensity_arrays(u, v, au, av):
     return num / denom
 
 
-def trotter_step(g, params, u, v, eps, rng):
-    """Heat flow exp(eps*A) on both coordinates, then exact per-site exit."""
-    P = heat_semigroup(g, eps)
-    return sample_exit_batch(params, u @ P.T, v @ P.T, rng)
-
-
 def trotter_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
                      rng_tag="trotter"):
     """Trotter trajectories; returns the terminal (R, n) fields.
@@ -119,22 +113,23 @@ def trotter_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     """
     if not eps > 0:
         raise ValueError(f"Trotter step eps must be > 0, got {eps!r}")
-    params = ExitLawParams(rho)
-    n = g.n_sites
     u0 = as_field(g, np.asarray(initial.u, dtype=float))
     v0 = as_field(g, np.asarray(initial.v, dtype=float))
     steps = max(int(math.ceil(horizon / eps - 1e-12)), 0)
-    out_u = np.empty((replicas, n))
-    out_v = np.empty((replicas, n))
-    for lo, hi, rng in rngmod.chunk_streams(seed, rng_tag, replicas):
-        m = hi - lo
-        u = np.tile(u0, (m, 1))
-        v = np.tile(v0, (m, 1))
-        for _ in range(steps):
-            u, v = trotter_step(g, params, u, v, eps, rng)
-        out_u[lo:hi] = u
-        out_v[lo:hi] = v
-    return {"u": out_u, "v": out_v, "effective_horizon": steps * eps}
+    u, v = rngmod.map_chunks(_trotter_chunk, seed, rng_tag, replicas,
+                             ExitLawParams(rho), heat_semigroup(g, eps), u0, v0,
+                             steps)
+    return {"u": u, "v": v, "effective_horizon": steps * eps}
+
+
+def _trotter_chunk(lo, hi, rng, params, P, u0, v0, steps):
+    """Trotter run of replicas lo..hi from (u0, v0): each step is the heat
+    flow P on both coordinates, then an exact per-site exit."""
+    u = np.tile(u0, (hi - lo, 1))
+    v = np.tile(v0, (hi - lo, 1))
+    for _ in range(steps):
+        u, v = sample_exit_batch(params, u @ P.T, v @ P.T, rng)
+    return u, v
 
 
 def _flow(u, v, A, m2, bal, dt):
@@ -167,18 +162,20 @@ def jump_update(u, v, rows, sites, swapped, factor):
     return mag
 
 
-def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
-    """Jump-process trajectories of all rows of the (R, n) start fields,
-    which are overwritten.
+def _pdmp_chunk(lo, hi, rng, A, measure, u0, v0, horizon, dt_max, events):
+    """Jump-process trajectories of replicas lo..hi from (u0, v0).
 
     Every live row advances by one thinning substep per loop iteration, on
     its own clock and its own substep cap. Candidates of all rows are
     handled in rank rounds: round j flows each row that has a j-th candidate
     to that candidate's time and accepts or rejects all of them at once.
-    events, if a list, receives the JumpEvents of row 0. Returns the final
-    fields and the per-row jump, violation and zeroed-mass counts.
+    events, if a list, receives the JumpEvents of replica 0 (row 0 of the
+    chunk with lo == 0). Returns the final fields and the per-row jump,
+    violation and zeroed-mass counts.
     """
-    R, n = u.shape
+    R, n = hi - lo, u0.size
+    u = np.tile(u0, (R, 1))
+    v = np.tile(v0, (R, 1))
     M = measure.total_mass
     m2 = measure.m2
     bal = measure.balance
@@ -249,7 +246,8 @@ def _pdmp_chunk(A, measure, u, v, horizon, rng, dt_max, events=None):
                 swapped, factor = sample_nu_trunc(measure, rng, size=jr.size)
                 mag = jump_update(u, v, jr, jk, swapped, factor)
                 n_jumps[rid[jr]] += 1
-                if events is not None and rid[0] == 0 and jr[0] == 0:
+                if (events is not None and lo == 0 and rid[0] == 0
+                        and jr[0] == 0):
                     events.append(JumpEvent(float(t[0] + tau[c[hit][0]]),
                                             int(jk[0]), bool(swapped[0]),
                                             float(factor[0]), float(mag[0])))
@@ -271,35 +269,27 @@ def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     violations and the zeroed_mass projected away by the flow; and events,
     None unless record_events is set.
 
-    Replicas run in chunks of rngmod.CHUNK rows, one Philox stream per chunk,
-    with batched thinning over the chunk's (R, n) arrays. Each replica keeps
-    its own clock and substep cap: the cap starts at flow_substep, halves
-    after a substep with a majorant violation and regrows by 1.1x, up to
-    flow_substep, after one whose thinning candidates all stayed under it.
-    record_events collects the JumpEvent list of replica 0 only.
+    Stream layout: rng.map_chunks runs each chunk of rngmod.CHUNK replicas
+    through `_pdmp_chunk` on its own Philox stream, with batched thinning
+    over the chunk's (R, n) arrays. Each replica keeps its own clock and
+    substep cap: the cap starts at flow_substep, halves after a substep with
+    a majorant violation and regrows by 1.1x, up to flow_substep, after one
+    whose thinning candidates all stayed under it. record_events collects
+    the JumpEvent list of replica 0 only.
     """
     if not flow_substep > 0:
         raise ValueError(f"flow_substep must be > 0, got {flow_substep!r}")
     measure = truncate_nu(rho, eps)
-    n = g.n_sites
     u0 = as_field(g, np.asarray(initial.u, dtype=float))
     v0 = as_field(g, np.asarray(initial.v, dtype=float))
     BoundaryField(u0, v0)  # validate the start state
-    out_u = np.empty((replicas, n))
-    out_v = np.empty((replicas, n))
-    n_jumps = np.zeros(replicas, dtype=int)
-    violations = np.zeros(replicas, dtype=int)
-    zeroed = np.zeros(replicas)
     events = [] if record_events else None
-    for lo, hi, rng in rngmod.chunk_streams(seed, rng_tag, replicas):
-        (out_u[lo:hi], out_v[lo:hi], n_jumps[lo:hi], violations[lo:hi],
-         zeroed[lo:hi]) = _pdmp_chunk(
-            g.rates, measure, np.tile(u0, (hi - lo, 1)),
-            np.tile(v0, (hi - lo, 1)), horizon, rng, flow_substep,
-            events=events if lo == 0 else None)
+    u, v, n_jumps, violations, zeroed = rngmod.map_chunks(
+        _pdmp_chunk, seed, rng_tag, replicas, g.rates, measure, u0, v0,
+        horizon, flow_substep, events)
     return {
-        "u": out_u,
-        "v": out_v,
+        "u": u,
+        "v": v,
         "n_jumps": n_jumps,
         "violations": violations,
         "zeroed_mass": zeroed,
@@ -325,36 +315,38 @@ def martingale_functional_check(g, rho, initial, y1, y2, horizon, eps,
         raise ValueError("test pair must satisfy y1*y2 = 0 per site")
     if not eps > 0:
         raise ValueError(f"Trotter step eps must be > 0, got {eps!r}")
-    params = ExitLawParams(rho)
-    P = heat_semigroup(g, eps)
     u0 = as_field(g, np.asarray(initial.u, dtype=float))
     v0 = as_field(g, np.asarray(initial.v, dtype=float))
     steps = max(int(math.ceil(horizon / eps - 1e-12)), 1 if horizon > 0 else 0)
-
-    def F(u, v):
-        return np.exp(duality_pairing(u, v, y1, y2, rho))
-
-    def G(u, v):
-        au = u @ g.rates.T
-        av = v @ g.rates.T
-        return duality_pairing(au, av, y1, y2, rho) * F(u, v)
-
-    mart = np.empty(0, dtype=complex)
-    for lo, hi, rng in rngmod.chunk_streams(seed, rng_tag, replicas):
-        m = hi - lo
-        u = np.tile(u0, (m, 1))
-        v = np.tile(v0, (m, 1))
-        f0 = F(u, v)
-        integral = np.zeros(m, dtype=complex)
-        for _ in range(steps):
-            left = G(u, v)
-            uh = u @ P.T
-            vh = v @ P.T
-            integral += 0.5 * eps * (left + G(uh, vh))
-            u, v = sample_exit_batch(params, uh, vh, rng)
-        mart = np.concatenate([mart, F(u, v) - f0 - integral])
+    mart, = rngmod.map_chunks(
+        _martingale_chunk, seed, rng_tag, replicas, rho, ExitLawParams(rho),
+        heat_semigroup(g, eps), g.rates, u0, v0, y1, y2, steps, eps)
     mean = complex(mart.mean())
     se_re = float(mart.real.std(ddof=1) / math.sqrt(mart.size))
     se_im = float(mart.imag.std(ddof=1) / math.sqrt(mart.size))
     return {"mean": mean, "se": (se_re, se_im), "replicas": int(mart.size),
             "effective_horizon": steps * eps}
+
+
+def _martingale_chunk(lo, hi, rng, rho, params, P, A, u0, v0, y1, y2, steps,
+                      eps):
+    """The compensated functional M of replicas lo..hi along Trotter paths
+    from (u0, v0), as a 1-tuple."""
+
+    def F(u, v):
+        return np.exp(duality_pairing(u, v, y1, y2, rho))
+
+    def G(u, v):
+        return duality_pairing(u @ A.T, v @ A.T, y1, y2, rho) * F(u, v)
+
+    u = np.tile(u0, (hi - lo, 1))
+    v = np.tile(v0, (hi - lo, 1))
+    f0 = F(u, v)
+    integral = np.zeros(hi - lo, dtype=complex)
+    for _ in range(steps):
+        left = G(u, v)
+        uh = u @ P.T
+        vh = v @ P.T
+        integral += 0.5 * eps * (left + G(uh, vh))
+        u, v = sample_exit_batch(params, uh, vh, rng)
+    return (F(u, v) - f0 - integral,)

@@ -151,3 +151,19 @@ def test_selfdual_check_small_run(ring4):
     out = selfdual_check(ring4, cfg, x0, y0)
     assert abs(out["gap_re"]) < 3 * out["se_gap_re"]
     assert abs(out["gap_im"]) < 3 * out["se_gap_im"]
+
+
+def test_selfdual_check_drops_aborted_replicas(ring4):
+    # an aborted replica ends at zero fields, and exp(pairing(0, 0, y)) = 1:
+    # pooled, the aborts pulled the evolved-x mean to ~0.98, while every
+    # replica that survives a start of 1e200 pairs to exp(-huge) = 0
+    cfg = SdeConfig(gamma=1.0, rho=0.3, horizon=0.01, dt=1e-3, replicas=256,
+                    seed=0)
+    x0 = PairField(np.array([1e200, 0.0, 0.5, 0.0]),
+                   np.array([0.0, 0.8, 0.0, 0.5]))
+    y0 = PairField(np.array([0.4, 0.0, 0.3, 0.0]),
+                   np.array([0.0, 0.2, 0.0, 0.5]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = selfdual_check(ring4, cfg, x0, y0)
+    assert out["aborted"] == 251
+    assert out["mean_evolved_x"] == 0

@@ -17,7 +17,7 @@ from symbranch.sbm_infinite import (BoundaryField, NegativeIntensity,
                                     intensity, jump_update,
                                     martingale_functional_check,
                                     pdmp_simulate, project_to_boundary,
-                                    trotter_simulate, trotter_step)
+                                    trotter_simulate)
 
 
 @pytest.fixture(scope="module")
@@ -159,12 +159,10 @@ def test_trotter_rho_minus_one_flip_probability(ring8):
     mu = u0 @ P.T
     mv = (1.0 - u0) @ P.T
     flip_expected = mv[0] / (mu[0] + mv[0])
-    params = ExitLawParams(-1.0)
     n = 20000
-    rng = rngmod.stream(3, "t-flip")
-    u_rep = np.tile(init.u, (n, 1))
-    v_rep = np.tile(init.v, (n, 1))
-    nu, nv = trotter_step(ring8, params, u_rep, v_rep, eps, rng)
+    res = trotter_simulate(ring8, -1.0, init, horizon=eps, eps=eps,
+                           replicas=n, seed=3, rng_tag="t-flip")
+    nu, nv = res["u"], res["v"]
     flips = float((nv[:, 0] > 0).mean())
     se = np.sqrt(flip_expected * (1 - flip_expected) / n)
     assert abs(flips - flip_expected) < 3 * se

@@ -1,5 +1,7 @@
 """Estimator helpers and the seeded stream layout."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -114,10 +116,46 @@ def test_stream_cross_correlation():
 
 
 def test_chunk_streams_cover_range():
-    spans = [(lo, hi) for lo, hi, _ in rngmod.chunk_streams(0, "cov", 10000,
-                                                            chunk=4096)]
+    spans = [(lo, hi) for lo, hi, _ in rngmod.chunk_streams(0, "cov", 10000)]
     assert spans == [(0, 4096), (4096, 8192), (8192, 10000)]
     # same replica index -> same draws regardless of how later chunks are used
-    g1 = list(rngmod.chunk_streams(0, "cov", 10000, chunk=4096))[1][2]
-    g2 = list(rngmod.chunk_streams(0, "cov", 5000, chunk=4096))[1][2]
+    g1 = list(rngmod.chunk_streams(0, "cov", 10000))[1][2]
+    g2 = list(rngmod.chunk_streams(0, "cov", 5000))[1][2]
     assert np.array_equal(g1.standard_normal(4), g2.standard_normal(4))
+
+
+def _toy_chunk(lo, hi, rng, scale):
+    m = hi - lo
+    return np.full(m, lo), rng.random(m) * scale
+
+
+@pytest.mark.parametrize("n", [1, rngmod.CHUNK, rngmod.CHUNK + 3,
+                               2 * rngmod.CHUNK + 1])
+def test_map_chunks_joins_chunks_in_replica_order(n):
+    starts, draws = rngmod.map_chunks(_toy_chunk, 5, "map", n, 2.0)
+    assert starts.shape == draws.shape == (n,)
+    los = range(0, n, rngmod.CHUNK)
+    want = np.concatenate([np.full(min(rngmod.CHUNK, n - lo), lo)
+                           for lo in los])
+    assert np.array_equal(starts, want)
+    # chunk i draws from stream i, and the extra argument reaches fn
+    for i, lo in enumerate(los):
+        hi = min(lo + rngmod.CHUNK, n)
+        ref = rngmod.stream(5, "map", i).random(hi - lo) * 2.0
+        assert np.array_equal(draws[lo:hi], ref)
+
+
+def test_map_chunks_needs_a_replica():
+    with pytest.raises(ValueError):
+        rngmod.map_chunks(_toy_chunk, 5, "map", 0, 2.0)
+
+
+def test_only_rng_walks_the_chunks():
+    # every replica-batched simulator goes through rng.map_chunks, so that
+    # the chunk loop lives in one place
+    src = pathlib.Path(rngmod.__file__).parent
+    walkers = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "rng.py" and "chunk_streams(" in p.read_text()]
+    assert walkers == []
+
+
