@@ -208,11 +208,17 @@ def selfdual_check(g, cfg, x0, y0, rng_tag="selfdual"):
     Side A evolves x0 and pairs against the frozen y0; side B evolves y0 and
     pairs against the frozen x0. Returns means, componentwise standard errors,
     and the gaps; the two ensembles use independent streams of cfg.seed.
-    Aborted replicas (zero fields, so F = 1) are left out of each side.
+    Aborted replicas (zero fields, so F = 1) are left out of each side;
+    raises ValueError when fewer than 2 replicas of a side survive.
     """
     obs_a = simulate(g, cfg, x0, rng_tag=rng_tag + "-A")
     obs_b = simulate(g, cfg, y0, rng_tag=rng_tag + "-B")
     a, b = ~obs_a.aborted, ~obs_b.aborted
+    for side, kept in (("evolved x", a), ("evolved y", b)):
+        if kept.sum() < 2:
+            raise ValueError(
+                f"self-duality side {side!r}: {kept.sum()} of {kept.size} "
+                "replicas survived the Euler scheme; need at least 2")
     f_a = selfdual_functional(obs_a.u[a], obs_a.v[a], y0.u, y0.v, cfg.rho)
     f_b = selfdual_functional(x0.u, x0.v, obs_b.u[b], obs_b.v[b], cfg.rho)
     mean_a, se_a = complex_mean_se(f_a)

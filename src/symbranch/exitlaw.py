@@ -23,8 +23,8 @@ The jump measure nu (the small-mass limit of exit laws from (1, eps), scaled by
     swap branch (y2-axis): p^2 sqrt(1-rho^2) y2^(p-1) / (pi (y2^p + 1)^2)
 
 with a non-integrable second-order pole at y1 = 1. In the variable s = y^p both
-branches are proportional to ds/(s -+ 1)^2, which is what the closed-form masses
-and sampling tables below exploit.
+densities are proportional to ds/(s -+ 1)^2, which is what the closed-form masses
+and inverse CDFs below exploit.
 """
 
 import math
@@ -211,21 +211,22 @@ class TruncatedJumpMeasure:
     stay on E. The swap branch (y2-axis) is kept whole, so its first moment m2
     is exactly 1 at every truncation level.
 
-    Sampling is exact closed-form inverse-CDF per branch (the s = y^p
-    substitution makes every branch CDF rational), including the unbounded
-    upper tails, so the sampler realizes the stated moments without bias.
+    The measure is plain data, so it pickles. In s = y^p each of its three
+    segments (keep below the pole, keep above it, swap) has density
+    C/(s -+ 1)^2 with C = mass_swap, and `sample_nu_trunc` inverts their
+    rational CDFs in closed form, unbounded tails included, without bias.
     """
 
     rho: float
     eps: float
     eps_prime: float
+    p: float                 # critical exponent: a mark has magnitude s^(1/p)
     mass_low: float          # keep branch below the pole
     mass_up: float           # keep branch above the pole
     mass_swap: float         # whole swap branch
     balance_residual: float  # quadrature check of the defining condition
     m2: float                # int y2 dnu: exactly 1 for truncations, 1 at rho=-1
     balance: float           # int (y1-1) dnu: 0 by construction, -1 at rho=-1
-    branches: tuple          # (is_swap, mass, quantile fn on [0,1)) per branch
 
     @property
     def total_mass(self):
@@ -239,13 +240,12 @@ def atomic_swap_measure():
     jump integrand vanishes there, so it is dropped; no truncation is needed.
     This measure is not drift-balanced (int (y1-1) dnu = -1); the flow
     compensator absorbs the -1 exactly, which is what freezes magnitudes on
-    unit-sum states.
+    unit-sum states. Its p is inf, so every swap mark has s^0 = 1.
     """
     return TruncatedJumpMeasure(
-        rho=-1.0, eps=0.0, eps_prime=0.0,
+        rho=-1.0, eps=0.0, eps_prime=0.0, p=math.inf,
         mass_low=0.0, mass_up=0.0, mass_swap=1.0,
         balance_residual=-1.0, m2=1.0, balance=-1.0,
-        branches=((True, 1.0, lambda f: np.ones_like(np.asarray(f, dtype=float))),),
     )
 
 
@@ -263,7 +263,7 @@ def truncate_nu(rho, eps):
     p = params.p
     C = params.root1m2 * p / math.pi  # swap-branch mass; also the s-space scale
 
-    # in s = y^p coordinates both branches have density C/(s -+ 1)^2
+    # in s = y^p coordinates the keep and swap densities are C/(s -+ 1)^2
     def keep_signed_moment(s_a, s_b):
         # int (y - 1) dnu over keep-branch magnitudes [s_a^(1/p), s_b^(1/p)];
         # the integrand's singularity at s=1 is removable, so quad's roundoff
@@ -303,33 +303,13 @@ def truncate_nu(rho, eps):
     mass_up = C / (s_up - 1.0)
     mass_swap = C
 
-    # branch quantiles from the s-space antiderivative -C/(s-1); all rational
-    # in s, so inverse-CDF sampling is exact including the unbounded tails
-    def q_low(frac):   # below-pole segment, CDF fraction in [0, 1)
-        s = frac * mass_low / (C + frac * mass_low)
-        return s ** (1.0 / p)
-
-    def q_up(frac):    # above-pole segment
-        s = 1.0 + C / (mass_up * (1.0 - frac))
-        return s ** (1.0 / p)
-
-    def q_swap(frac):  # quantile of the swap branch
-        s = frac / (1.0 - frac)
-        return s ** (1.0 / p)
-
-    branches = (
-        (False, mass_low, q_low),
-        (False, mass_up, q_up),
-        (True, mass_swap, q_swap),
-    )
     # the sampler is exact, so it realizes the analytic moments: the swap
     # first moment is identically 1 and the keep balance vanishes by the
     # choice of eps_prime (up to the quadrature residual recorded above)
     return TruncatedJumpMeasure(
-        rho=rho, eps=eps, eps_prime=eps_prime,
+        rho=rho, eps=eps, eps_prime=eps_prime, p=p,
         mass_low=mass_low, mass_up=mass_up, mass_swap=mass_swap,
         balance_residual=residual, m2=1.0, balance=0.0,
-        branches=branches,
     )
 
 
@@ -337,22 +317,22 @@ def sample_nu_trunc(measure, rng, size):
     """Draw size marks from the truncated measure.
 
     Returns (is_swap bool array, magnitude array): is_swap marks the
-    axis-swapping branch. Magnitudes come from the exact closed-form branch
-    quantiles, so sampled moments match the measure's stated m2 and balance
-    without discretization bias.
+    axis-swapping branch. Each mark picks a segment by its mass and inverts
+    that segment's CDF at a uniform f in s = y^p, in closed form from the
+    antiderivative -C/(s -+ 1) (C = mass_swap); its magnitude is s^(1/p).
+    The inversion is exact, so sampled moments match the measure's stated m2
+    and balance without discretization bias.
     """
-    masses = np.array([b[1] for b in measure.branches])
-    probs = masses / masses.sum()
-    seg = rng.choice(len(measure.branches), size=size, p=probs)
-    mag = np.empty(size)
-    swap = np.zeros(size, dtype=bool)
-    u = rng.random(size)
-    for i, (is_swap, _, quantile) in enumerate(measure.branches):
-        pick = seg == i
-        if np.any(pick):
-            mag[pick] = quantile(u[pick])
-            swap[pick] = is_swap
-    return swap, mag
+    C = measure.mass_swap
+    masses = np.array([measure.mass_low, measure.mass_up, C])
+    seg = rng.choice(3, size=size, p=masses / masses.sum())
+    f = rng.random(size)
+    low, up, swap = seg == 0, seg == 1, seg == 2
+    s = np.empty(size)
+    s[low] = f[low] * measure.mass_low / (C + f[low] * measure.mass_low)
+    s[up] = 1.0 + C / (measure.mass_up * (1.0 - f[up]))
+    s[swap] = f[swap] / (1.0 - f[swap])
+    return swap, s ** (1.0 / measure.p)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,11 @@ def chunk_streams(seed, tag, n_replicas):
 def map_chunks(fn, seed, tag, n_replicas, *args):
     """Call fn(lo, hi, rng, *args) on each chunk of chunk_streams; fn returns
     a tuple of arrays over the chunk's replicas, and the result is the tuple
-    of those arrays, each concatenated over the chunks in replica order."""
+    of those arrays, each concatenated over the chunks in replica order.
+
+    Chunks are pure: fn is module-level, args pickle, and fn returns only
+    arrays and mutates no arg, so chunks may run in any order or process.
+    """
     if n_replicas < 1:
         raise ValueError(f"need at least 1 replica, got {n_replicas!r}")
     parts = [fn(lo, hi, rng, *args)

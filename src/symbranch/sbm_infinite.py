@@ -53,15 +53,6 @@ class BoundaryField:
             raise ValueError("at most one of (u, v) may be positive per site")
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    time: float
-    site: int
-    swapped: bool
-    factor: float       # sampled mark magnitude y
-    magnitude: float    # local magnitude before the jump
-
-
 def project_to_boundary(u, v):
     """Zero the smaller coordinate per site; returns (u, v, zeroed mass).
 
@@ -77,19 +68,15 @@ def project_to_boundary(u, v):
     return u, v, zeroed if u.ndim > 1 else float(zeroed)
 
 
-def intensity(g, state):
-    """Per-site jump intensity of the boundary process, validated.
-
-    AV(k)/U(k) on a U-site, AU(k)/V(k) on a V-site, 0 where both vanish.
-    Raises NegativeIntensity if any rate is negative, which on a valid
-    boundary state cannot happen (the generator rows have nonnegative
-    off-diagonal entries and the diagonal multiplies an exact zero).
+def intensity(A, u, v):
+    """Per-site jump intensity of the (..., n) boundary fields u, v under the
+    generator A (g.rates), validated: AV(k)/U(k) on a U-site, AU(k)/V(k) on a
+    V-site, 0 where both vanish. Raises NegativeIntensity if any rate is
+    negative, which on a valid boundary state cannot happen (the generator
+    rows have nonnegative off-diagonal entries and the diagonal multiplies an
+    exact zero).
     """
-    u = as_field(g, state.u)
-    v = as_field(g, state.v)
-    au = u @ g.rates.T
-    av = v @ g.rates.T
-    rate = _intensity_arrays(u, v, au, av)
+    rate = _intensity_arrays(u, v, u @ A.T, v @ A.T)
     if np.any(rate < 0):
         raise NegativeIntensity("negative jump intensity: state off the boundary set")
     return rate
@@ -162,16 +149,15 @@ def jump_update(u, v, rows, sites, swapped, factor):
     return mag
 
 
-def _pdmp_chunk(lo, hi, rng, A, measure, u0, v0, horizon, dt_max, events):
+def _pdmp_chunk(lo, hi, rng, A, measure, u0, v0, horizon, dt_max):
     """Jump-process trajectories of replicas lo..hi from (u0, v0).
 
     Every live row advances by one thinning substep per loop iteration, on
     its own clock and its own substep cap. Candidates of all rows are
     handled in rank rounds: round j flows each row that has a j-th candidate
     to that candidate's time and accepts or rejects all of them at once.
-    events, if a list, receives the JumpEvents of replica 0 (row 0 of the
-    chunk with lo == 0). Returns the final fields and the per-row jump,
-    violation and zeroed-mass counts.
+    Returns the final fields and the per-row jump, violation and zeroed-mass
+    counts.
     """
     R, n = hi - lo, u0.size
     u = np.tile(u0, (R, 1))
@@ -197,12 +183,7 @@ def _pdmp_chunk(lo, hi, rng, A, measure, u0, v0, horizon, dt_max, events):
             rid, t, cap, u, v = rid[keep], t[keep], cap[keep], u[keep], v[keep]
         if not rid.size:
             return out_u, out_v, n_jumps, violations, zeroed
-        au = u @ A.T
-        av = v @ A.T
-        rate = _intensity_arrays(u, v, au, av)
-        if np.any(rate < 0):
-            raise NegativeIntensity("negative jump intensity during flow")
-        lam = rate * M
+        lam = intensity(A, u, v) * M
         lam_bar = 1.5 * lam
         with np.errstate(divide="ignore"):
             dt = np.minimum(np.minimum(cap, horizon - t),
@@ -244,13 +225,8 @@ def _pdmp_chunk(lo, hi, rng, A, measure, u0, v0, horizon, dt_max, events):
                 jr = rows[hit]
                 jk = k[hit]
                 swapped, factor = sample_nu_trunc(measure, rng, size=jr.size)
-                mag = jump_update(u, v, jr, jk, swapped, factor)
+                jump_update(u, v, jr, jk, swapped, factor)
                 n_jumps[rid[jr]] += 1
-                if (events is not None and lo == 0 and rid[0] == 0
-                        and jr[0] == 0):
-                    events.append(JumpEvent(float(t[0] + tau[c[hit][0]]),
-                                            int(jk[0]), bool(swapped[0]),
-                                            float(factor[0]), float(mag[0])))
         step = dt - s_prev
         go = step > 0
         u[go], v[go], z = _flow(u[go], v[go], A, m2, bal, step[go])
@@ -263,19 +239,17 @@ def _pdmp_chunk(lo, hi, rng, A, measure, u0, v0, horizon, dt_max, events):
 
 
 def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
-                  flow_substep=1e-2, record_events=False, rng_tag="pdmp"):
+                  flow_substep=1e-2, rng_tag="pdmp"):
     """Jump-process trajectories with truncation eps; returns the terminal
-    (R, n) fields u, v; per replica the jump count n_jumps, the majorant
-    violations and the zeroed_mass projected away by the flow; and events,
-    None unless record_events is set.
+    (R, n) fields u, v and, per replica, the jump count n_jumps, the majorant
+    violations and the zeroed_mass projected away by the flow.
 
     Stream layout: rng.map_chunks runs each chunk of rngmod.CHUNK replicas
     through `_pdmp_chunk` on its own Philox stream, with batched thinning
     over the chunk's (R, n) arrays. Each replica keeps its own clock and
     substep cap: the cap starts at flow_substep, halves after a substep with
     a majorant violation and regrows by 1.1x, up to flow_substep, after one
-    whose thinning candidates all stayed under it. record_events collects
-    the JumpEvent list of replica 0 only.
+    whose thinning candidates all stayed under it.
     """
     if not flow_substep > 0:
         raise ValueError(f"flow_substep must be > 0, got {flow_substep!r}")
@@ -283,17 +257,15 @@ def pdmp_simulate(g, rho, initial, horizon, eps, replicas=1, seed=0,
     u0 = as_field(g, np.asarray(initial.u, dtype=float))
     v0 = as_field(g, np.asarray(initial.v, dtype=float))
     BoundaryField(u0, v0)  # validate the start state
-    events = [] if record_events else None
     u, v, n_jumps, violations, zeroed = rngmod.map_chunks(
         _pdmp_chunk, seed, rng_tag, replicas, g.rates, measure, u0, v0,
-        horizon, flow_substep, events)
+        horizon, flow_substep)
     return {
         "u": u,
         "v": v,
         "n_jumps": n_jumps,
         "violations": violations,
         "zeroed_mass": zeroed,
-        "events": events,
     }
 
 

@@ -3,12 +3,18 @@
 `bench/run.py --trace 1` wraps the functions named in `bench/layertrace.py`
 by module attribute and binds their arguments by name. This test runs the
 experiments at tiny sizes under that tracer, so a rename or deletion that
-would break the traced benchmark fails here.
+would break the traced benchmark fails here. The same tiny runs check the
+contract of `rng.map_chunks`, which a worker pool needs: every chunk is a
+pure function of picklable data.
 """
 
 import importlib.util
+import pickle
 from pathlib import Path
 
+import numpy as np
+
+from symbranch import rng as rngmod
 from symbranch.experiments import EXPERIMENTS, default_config, run_experiment
 
 _LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
@@ -54,3 +60,30 @@ def test_every_traced_layer_is_reached(tmp_path):
     silent = sorted(name for name, layer in tracer.layers.items()
                     if layer.calls == 0)
     assert not silent, f"traced layers never called: {silent}"
+
+
+def test_every_chunk_is_pure(tmp_path, monkeypatch):
+    exact = rngmod.map_chunks
+    seen = set()
+
+    def checked(fn, seed, tag, n_replicas, *args):
+        before = pickle.dumps((fn, args))
+
+        def chunk(*chunk_args):
+            out = fn(*chunk_args)
+            assert all(type(a) is np.ndarray for a in out), \
+                f"{fn.__name__} returns a non-array"
+            return out
+
+        out = exact(chunk, seed, tag, n_replicas, *args)
+        assert pickle.dumps((fn, args)) == before, \
+            f"{fn.__name__}: args mutated"
+        seen.add(fn.__name__)
+        return out
+
+    monkeypatch.setattr(rngmod, "map_chunks", checked)
+    for name, overrides in _TINY:
+        run_experiment(default_config(name, **overrides),
+                       out_dir=tmp_path / name)
+    assert seen == {"_simulate_chunk", "_nonspatial_chunk", "_trotter_chunk",
+                    "_pdmp_chunk", "_martingale_chunk"}

@@ -220,6 +220,18 @@ def test_cli_dt_zero_is_config_error(capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_selfdual_side_without_survivors_is_config_error(capsys):
+    # every replica started at u(0) = 1e200 overflows the Euler scheme and
+    # aborts; a side needs 2 survivors for its mean and SE
+    assert cli.main(["duality-self", "--set",
+                     'initial={"u":[1e200,0,0.5,0],"v":[0,0.8,0,0.5]}',
+                     "--set", "replicas=50", "--set", "horizon=0.05"]) == 2
+    err = capsys.readouterr().err
+    assert ("self-duality side 'evolved x': 0 of 50 replicas survived"
+            in err), err
+
+
 def _never(*args, **kwargs):
     raise AssertionError("the simulation must not start")
 

@@ -46,25 +46,25 @@ def test_boundary_field_validation():
 def test_intensity_worked_example(ring8):
     # ring with rates 1/2: U(0)=2, opposite neighbors V=(4,0) -> rate 1
     state = _efield(8, u_at=[(0, 2.0)], v_at=[(1, 4.0)])
-    assert intensity(ring8, state)[0] == pytest.approx(1.0)
+    assert intensity(ring8.rates, state.u, state.v)[0] == pytest.approx(1.0)
 
 
 def test_intensity_island_and_zero(ring8):
     island = _efield(8, u_at=[(k, 1.0) for k in range(8)])
-    assert intensity(ring8, island)[3] == 0.0
-    assert intensity(ring8, _efield(8))[5] == 0.0
+    assert intensity(ring8.rates, island.u, island.v)[3] == 0.0
+    assert intensity(ring8.rates, np.zeros(8), np.zeros(8))[5] == 0.0
 
 
 def test_intensity_vector_and_negative(ring8):
     state = _efield(8, u_at=[(0, 2.0)], v_at=[(1, 4.0)])
-    rates = intensity(ring8, state)
+    rates = intensity(ring8.rates, state.u, state.v)
     assert rates.shape == (8,)
     assert rates[0] == pytest.approx(1.0)
     off_e = BoundaryField(np.zeros(8), np.zeros(8))
     off_e.u[0] = 1.0  # mutate past validation to emulate an off-E bug
     off_e.v[0] = 1.0
     with pytest.raises(NegativeIntensity):
-        intensity(ring8, off_e)
+        intensity(ring8.rates, off_e.u, off_e.v)
 
 
 def test_jump_update_examples():
@@ -198,7 +198,7 @@ def test_pdmp_compensator_cancellation(ring8):
     # on E the flow keeps the zero coordinate at zero: I(k)*m2*U(k) = AV(k)
     state = _efield(8, u_at=[(0, 2.0), (3, 1.0)], v_at=[(1, 4.0), (6, 0.5)])
     meas = truncate_nu(0.0, 0.1)
-    rates = intensity(ring8, state)
+    rates = intensity(ring8.rates, state.u, state.v)
     av = state.v @ ring8.rates.T
     on_u = state.u > 0
     assert np.allclose(rates[on_u] * meas.m2 * state.u[on_u], av[on_u],
@@ -237,7 +237,7 @@ def test_pdmp_chunk_boundary_and_diagnostics(ring8):
 
     def run():
         return pdmp_simulate(ring8, 0.0, init, horizon=0.4, eps=0.15,
-                             replicas=R, seed=12, record_events=True)
+                             replicas=R, seed=12)
 
     res = run()
     assert res["u"].shape == res["v"].shape == (R, 8)
@@ -246,20 +246,9 @@ def test_pdmp_chunk_boundary_and_diagnostics(ring8):
     assert np.all(res["violations"] >= 0)
     assert res["zeroed_mass"].max() < 1e-10
     assert res["n_jumps"][0] > 0
-    assert len(res["events"]) == res["n_jumps"][0]
     again = run()
     for key in ("u", "v", "n_jumps", "violations", "zeroed_mass"):
         assert res[key].tobytes() == again[key].tobytes()
-
-
-def test_pdmp_event_record(ring8):
-    init = _efield(8, u_at=[(0, 1.0)], v_at=[(4, 1.0)])
-    res = pdmp_simulate(ring8, 0.0, init, horizon=0.5, eps=0.15, replicas=2,
-                        seed=8, record_events=True)
-    for ev in res["events"]:
-        assert 0 <= ev.site < 8
-        assert ev.time <= 0.5
-        assert ev.factor > 0
 
 
 def test_martingale_check_null_cases(ring8):

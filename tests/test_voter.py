@@ -1,10 +1,14 @@
 """Voter dynamics and the rho = -1 identification routes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from symbranch import exitlaw, sbm_infinite
 from symbranch.config import build_graph
 from symbranch.duals import coalescing_dual_estimate
+from symbranch.experiments import default_config, run_experiment
 from symbranch.voter import (OpinionField, _voter_rates,
                              gillespie_simulate, two_point_functions,
                              voter_vs_sbminf)
@@ -100,3 +104,35 @@ def test_voter_vs_sbminf_rejects_general_start(ring6):
     with pytest.raises(ValueError):
         voter_vs_sbminf(ring6, BoundaryField(u, v), 0.5, [(0, 3)],
                         replicas=8, seed=5)
+
+
+def _off_unit_marks(monkeypatch):
+    exact = sbm_infinite.sample_nu_trunc
+
+    def skewed(measure, rng, size):
+        swap, mag = exact(measure, rng, size)
+        return swap, (mag * (1.0 + 2.0 ** -20) if measure.rho == -1.0 else mag)
+
+    monkeypatch.setattr(sbm_infinite, "sample_nu_trunc", skewed)
+
+
+def _unbalanced_flow(monkeypatch):
+    exact = exitlaw.atomic_swap_measure
+    monkeypatch.setattr(exitlaw, "atomic_swap_measure",
+                        lambda: dataclasses.replace(exact(), balance=0.0))
+
+
+@pytest.mark.parametrize("plant", [_off_unit_marks, _unbalanced_flow])
+def test_voter_limit_exactness_rows_catch_planted_defects(monkeypatch, plant):
+    # planted defects of the rho = -1 jump process: marks of magnitude
+    # 1 + 2^-20, or a flow that drops the -1 keep balance the compensator
+    # needs; the report must still return, with both exactness rows FAILing
+    cfg = default_config("voter-limit", replicas=500)
+    names = ("jump-process magnitudes exactly 1",
+             "jump-process rates equal voter rates (exact)")
+    rows = {r.name: r for r in run_experiment(cfg).criteria}
+    assert all(rows[name].passed for name in names)
+    plant(monkeypatch)
+    rows = {r.name: r for r in run_experiment(cfg).criteria}
+    for name in names:
+        assert rows[name].model == "within" and not rows[name].passed
