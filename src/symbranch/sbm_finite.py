@@ -112,7 +112,10 @@ def simulate(g, cfg, initial, rng_tag="sbm-finite"):
     Finite fields whose total, or whose <u,v> (the clock increment), overflows
     to inf count as an abort too. Such a replica is flagged in `aborted`, its
     fields and totals are zeroed, and from that step on it adds nothing to the
-    clock or the brackets; its terminal u and v are zero.
+    clock or the brackets; its terminal u and v are zero. A replica whose
+    fields stay finite is kept even when its clock or a bracket overflows
+    (the rounding of a total near 1e200 can do it); that sum is then inf or
+    NaN, and `realized_brackets` refuses to pool it.
     """
     u0 = as_field(g, initial.u)
     v0 = as_field(g, initial.v)
@@ -140,52 +143,56 @@ def _simulate_chunk(lo, hi, rng, A, u0, v0, gamma, rho, dt, steps):
     draw = np.empty((m, n))
     z1, zperp, un, vn, tmp = np.empty((5, n, m))
     neg = np.empty((n, m), dtype=bool)
-    for _ in range(steps):
-        pair = np.multiply(u, v, out=tmp).sum(axis=0)
-        np.copyto(z1, rng.standard_normal(out=draw).T)
-        np.copyto(zperp, rng.standard_normal(out=draw).T)
-        np.matmul(A, u, out=un)
-        np.matmul(A, v, out=vn)
-        un *= dt
-        vn *= dt
-        un += u
-        vn += v
-        if gamma > 0:
-            # sig = sqrt(gamma u v dt), in place of the old state's u
-            sig = np.multiply(u, gamma, out=u)
-            sig *= v
-            sig *= dt
-            np.sqrt(sig, out=sig)
-            un += np.multiply(sig, z1, out=tmp)
-            np.multiply(z1, rho, out=tmp)
-            zperp *= root
-            tmp += zperp
-            tmp *= sig
-            vn += tmp
-        for w in (un, vn):
-            if np.less(w, 0.0, out=neg).any():
-                clamp += neg.sum(axis=0)
-                np.maximum(w, 0.0, out=w)
-        u, un = un, u
-        v, vn = vn, v
-        new_tu = u.sum(axis=0)
-        new_tv = v.sum(axis=0)
-        du_t = new_tu - tot_u
-        dv_t = new_tv - tot_v
-        bad = ~np.isfinite(new_tu + new_tv + pair)
-        if bad.any():
-            # an aborted column is zero from here on, so later steps add
-            # exactly 0 to its brackets and clock
-            ok &= ~bad
-            for w in (u, v):
-                w[:, bad] = 0.0
-            for w in (new_tu, new_tv, du_t, dv_t, pair):
-                w[bad] = 0.0
-        quad_u += du_t**2
-        quad_v += dv_t**2
-        cross += du_t * dv_t
-        clock += gamma * pair * dt
-        tot_u, tot_v = new_tu, new_tv
+    # overflow is how an aborting replica shows up, and the abort test
+    # catches it; an overflowed clock or bracket of a kept replica is
+    # reported by realized_brackets, so numpy need not warn
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            pair = np.multiply(u, v, out=tmp).sum(axis=0)
+            np.copyto(z1, rng.standard_normal(out=draw).T)
+            np.copyto(zperp, rng.standard_normal(out=draw).T)
+            np.matmul(A, u, out=un)
+            np.matmul(A, v, out=vn)
+            un *= dt
+            vn *= dt
+            un += u
+            vn += v
+            if gamma > 0:
+                # sig = sqrt(gamma u v dt), in place of the old state's u
+                sig = np.multiply(u, gamma, out=u)
+                sig *= v
+                sig *= dt
+                np.sqrt(sig, out=sig)
+                un += np.multiply(sig, z1, out=tmp)
+                np.multiply(z1, rho, out=tmp)
+                zperp *= root
+                tmp += zperp
+                tmp *= sig
+                vn += tmp
+            for w in (un, vn):
+                if np.less(w, 0.0, out=neg).any():
+                    clamp += neg.sum(axis=0)
+                    np.maximum(w, 0.0, out=w)
+            u, un = un, u
+            v, vn = vn, v
+            new_tu = u.sum(axis=0)
+            new_tv = v.sum(axis=0)
+            du_t = new_tu - tot_u
+            dv_t = new_tv - tot_v
+            bad = ~np.isfinite(new_tu + new_tv + pair)
+            if bad.any():
+                # an aborted column is zero from here on, so later steps add
+                # exactly 0 to its brackets and clock
+                ok &= ~bad
+                for w in (u, v):
+                    w[:, bad] = 0.0
+                for w in (new_tu, new_tv, du_t, dv_t, pair):
+                    w[bad] = 0.0
+            quad_u += du_t**2
+            quad_v += dv_t**2
+            cross += du_t * dv_t
+            clock += gamma * pair * dt
+            tot_u, tot_v = new_tu, new_tv
     # copies, so that the joined (R, n) fields are row-major like the draws
     return (u.T.copy(), v.T.copy(), tot_u, tot_v, clock, quad_u, quad_v,
             cross, clamp, ~ok)
@@ -196,9 +203,16 @@ def realized_brackets(obs):
 
     Returns a dict with pooled realized quad/cross sums, the predicted
     gamma int <u,v> ds (the realized clock), and the cross/quad ratio estimate
-    of the noise correlation.
+    of the noise correlation. Raises ValueError when a replica that did not
+    abort has an overflowed (non-finite) clock or bracket.
     """
     ok = ~obs.aborted
+    sums = (obs.clock, obs.quad_u, obs.quad_v, obs.cross)
+    lost = ok & ~np.logical_and.reduce([np.isfinite(x) for x in sums])
+    if lost.any():
+        raise ValueError(
+            f"{lost.sum()} of {ok.sum()} surviving replicas have an "
+            "overflowed clock or bracket; lower the start or gamma")
     quad = 0.5 * (obs.quad_u[ok] + obs.quad_v[ok])
     cross = obs.cross[ok]
     predicted = obs.clock[ok]

@@ -1,6 +1,7 @@
 """Estimator helpers and the seeded stream layout."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -152,10 +153,14 @@ def test_map_chunks_needs_a_replica():
 
 def test_only_rng_walks_the_chunks():
     # every replica-batched simulator goes through rng.map_chunks, so that
-    # the chunk loop lives in one place
+    # the chunk loop lives in one place; so do the processes that run it
     src = pathlib.Path(rngmod.__file__).parent
-    walkers = [p.name for p in sorted(src.glob("*.py"))
-               if p.name != "rng.py" and "chunk_streams(" in p.read_text()]
+    others = [p for p in sorted(src.glob("*.py")) if p.name != "rng.py"]
+    walkers = [p.name for p in others if "chunk_streams(" in p.read_text()]
     assert walkers == []
+    pooled = re.compile(r"^\s*(import|from)\s+(multiprocessing|concurrent)\b",
+                        re.MULTILINE)
+    poolers = [p.name for p in others if pooled.search(p.read_text())]
+    assert poolers == []
 
 
